@@ -55,9 +55,13 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def band_stats(band: Band) -> BandStats:
-    if band.width == 0 or band.height == 0:
+def _require_nonempty(raster: Band | MultibandImage) -> None:
+    if raster.width == 0 or raster.height == 0:
         raise DomainError("cannot compute statistics of an empty band")
+
+
+def band_stats(band: Band) -> BandStats:
+    _require_nonempty(band)
     values = band.samples.astype(np.float64)
     mean, std = _mean_std(values)
     return BandStats(
@@ -75,10 +79,16 @@ class CorrelationMatrix:
     Entries involving a zero-variance band are undefined: they are stored
     as NaN and the offending bands are listed in ``zero_variance_bands``
     (0-based indices). Diagonal entries are 1 by convention.
+
+    ``stddev`` holds each band's population standard deviation, the one
+    the correlations were normalized by; it equals
+    ``band_stats(band).stddev`` exactly. It is empty when the matrix was
+    built directly rather than by ``correlation``.
     """
 
     r: np.ndarray
     zero_variance_bands: tuple[int, ...] = ()
+    stddev: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", _readonly(np.asarray(self.r, dtype=np.float64)))
@@ -96,10 +106,13 @@ def correlation(image: MultibandImage) -> CorrelationMatrix:
     n = image.n_bands
     if n < 2:
         raise DomainError("correlation needs at least 2 bands")
-    planes = [b.samples.astype(np.float64).ravel() for b in image.bands]
-    means = [float(p.mean()) for p in planes]
-    devs = [p - m for p, m in zip(planes, means)]
-    stds = [math.sqrt(float((d * d).mean())) for d in devs]
+    # Each band's float64 copy becomes its deviations in place.
+    devs = []
+    for b in image.bands:
+        plane = b.samples.astype(np.float64).ravel()
+        plane -= float(plane.mean())
+        devs.append(plane)
+    stds = tuple(math.sqrt(float((d * d).mean())) for d in devs)
     flagged = tuple(i for i, s in enumerate(stds) if s == 0.0)
     r = np.full((n, n), np.nan, dtype=np.float64)
     np.fill_diagonal(r, 1.0)
@@ -109,7 +122,7 @@ def correlation(image: MultibandImage) -> CorrelationMatrix:
                 continue
             cov = float((devs[i] * devs[j]).mean())
             r[i, j] = r[j, i] = cov / (stds[i] * stds[j])
-    return CorrelationMatrix(r, flagged)
+    return CorrelationMatrix(r, flagged, stds)
 
 
 # ---------------------------------------------------------------------------
@@ -127,38 +140,49 @@ class OifScore:
     score: float
 
 
-def oif_rank(image: MultibandImage) -> list[OifScore]:
-    """Score every band triple, best first.
+def _require_triples(n_bands: int) -> None:
+    if n_bands < 3:
+        raise DomainError(f"OIF ranking needs at least 3 bands, got {n_bands}")
 
-    Ties are broken by lexicographic triple order. Zero-variance bands
-    make the index undefined and are reported by name.
-    """
+
+def _rank_triples(image: MultibandImage, corr: CorrelationMatrix) -> list[OifScore]:
+    """Score every triple from the moments in ``corr``, best first."""
     n = image.n_bands
-    if n < 3:
-        raise DomainError(f"OIF ranking needs at least 3 bands, got {n}")
-    stats = [band_stats(b) for b in image.bands]
-    dead = [image.name_of(i) for i, s in enumerate(stats) if s.stddev == 0.0]
+    _require_triples(n)
+    dead = [image.name_of(i) for i in corr.zero_variance_bands]
     if dead:
         raise DomainError(f"zero-variance bands: {', '.join(dead)}")
-    corr = correlation(image)
+    std = corr.stddev
+    absr = np.abs(corr.r).tolist()
     scores = []
     for i, j, k in combinations(range(n), 3):
-        numer = stats[i].stddev + stats[j].stddev + stats[k].stddev
-        denom = abs(corr.r[i, j]) + abs(corr.r[i, k]) + abs(corr.r[j, k])
+        numer = std[i] + std[j] + std[k]
+        denom = absr[i][j] + absr[i][k] + absr[j][k]
         score = numer / denom if denom > 0 else math.inf
         scores.append(OifScore((i + 1, j + 1, k + 1), score))
     scores.sort(key=lambda s: (-s.score, s.triple))
     return scores
 
 
+def oif_rank(image: MultibandImage) -> list[OifScore]:
+    """Score every band triple, best first.
+
+    Ties are broken by lexicographic triple order. Zero-variance bands
+    make the index undefined and are reported by name.
+    """
+    _require_triples(image.n_bands)
+    _require_nonempty(image)
+    return _rank_triples(image, correlation(image))
+
+
 def oif_report_dict(image: MultibandImage) -> dict:
     """OIF ranking plus the inputs it derives from, as a JSON-ready dict."""
-    stats = [band_stats(b) for b in image.bands]
+    _require_nonempty(image)
     corr = correlation(image)
-    ranking = oif_rank(image)
+    ranking = _rank_triples(image, corr)
     return {
         "bands": [image.name_of(i) for i in range(image.n_bands)],
-        "stddev": [s.stddev for s in stats],
+        "stddev": list(corr.stddev),
         "correlation": [
             [None if math.isnan(v) else v for v in row] for row in corr.r.tolist()
         ],
@@ -481,9 +505,8 @@ class ComparisonReport:
         }
 
 
-def _summarize_field(samples: np.ndarray, threshold: float) -> FieldSummary:
-    mag = np.abs(samples.astype(np.int64))
-    mean, std = _mean_std(mag.astype(np.float64))
+def _summarize_field(mag: np.ndarray, threshold: float) -> FieldSummary:
+    mean, std = _mean_std(mag)
     density = float((mag > threshold).mean())
     bins = np.digitize(mag, _HISTOGRAM_EDGES)
     hist = np.bincount(bins.ravel(), minlength=HISTOGRAM_BINS)
@@ -506,20 +529,23 @@ def compare_responses(
         raise DomainError("cannot compare empty fields")
     if not threshold > 0:
         raise DomainError(f"threshold must be > 0, got {threshold}")
-    mag_a = np.abs(a.samples.astype(np.int64)).astype(np.float64)
-    mag_b = np.abs(b.samples.astype(np.int64)).astype(np.float64)
-    mean_a, std_a = _mean_std(mag_a)
-    mean_b, std_b = _mean_std(mag_b)
-    if std_a == 0.0 or std_b == 0.0:
+    # float64 holds every int32 magnitude exactly, including |-2^31|.
+    mag_a = np.abs(a.samples.astype(np.float64))
+    mag_b = np.abs(b.samples.astype(np.float64))
+    sum_a = _summarize_field(mag_a, threshold)
+    sum_b = _summarize_field(mag_b, threshold)
+    if sum_a.stddev_magnitude == 0.0 or sum_b.stddev_magnitude == 0.0:
         corr = None
     else:
-        cov = float(((mag_a - mean_a) * (mag_b - mean_b)).mean())
-        corr = cov / (std_a * std_b)
+        mag_a -= sum_a.mean_magnitude
+        mag_b -= sum_b.mean_magnitude
+        cov = float((mag_a * mag_b).mean())
+        corr = cov / (sum_a.stddev_magnitude * sum_b.stddev_magnitude)
     agreement = float((np.sign(a.samples) == np.sign(b.samples)).mean())
     return ComparisonReport(
         threshold=threshold,
-        a=_summarize_field(a.samples, threshold),
-        b=_summarize_field(b.samples, threshold),
+        a=sum_a,
+        b=sum_b,
         magnitude_correlation=corr,
         sign_agreement=agreement,
     )

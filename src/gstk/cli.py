@@ -62,54 +62,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(convert, accept, message: str):
+    """An argparse type: ``convert`` the text, then require ``accept``."""
+    noun = "an integer" if convert is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(message.format(value))
+        return value
+
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _percentile(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0 <= value <= 100:
-        raise argparse.ArgumentTypeError(f"percentile must be in [0, 100], got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {value}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "must be >= 1, got {}")
+_positive_float = _checked(float, lambda v: v > 0, "must be > 0, got {}")
+_nonnegative_float = _checked(float, lambda v: not v < 0, "must be >= 0, got {}")
+_percentile = _checked(
+    float, lambda v: 0 <= v <= 100, "percentile must be in [0, 100], got {}"
+)
 
 
 def _kernel_from_choice(choice: str) -> Kernel:
@@ -445,6 +419,26 @@ def build_parser() -> argparse.ArgumentParser:
             help="out-of-range pixel policy (default: replicate)",
         )
 
+    def add_classifier(p: argparse.ArgumentParser, features_help: str) -> None:
+        p.add_argument(
+            "--mode",
+            choices=[m.value for m in analysis.FitMode],
+            default=analysis.FitMode.MINMAX.value,
+            help="box training rule (default: minmax)",
+        )
+        p.add_argument(
+            "--k",
+            type=_nonnegative_float,
+            default=2.0,
+            help="sigma multiplier for mean_sigma (default: 2)",
+        )
+        p.add_argument(
+            "--features",
+            choices=[m.value for m in analysis.FeatureKind],
+            default=analysis.FeatureKind.SMOOTHED.value,
+            help=f"{features_help} (default: smoothed)",
+        )
+
     p = sub.add_parser("derive", help="write a built-in kernel as text")
     add_kernel(p)
     p.add_argument("--out", required=True, help="output kernel text file")
@@ -496,24 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out-confusion", default=None, help="confusion matrix JSON (needs --truth)"
     )
-    p.add_argument(
-        "--mode",
-        choices=[m.value for m in analysis.FitMode],
-        default=analysis.FitMode.MINMAX.value,
-        help="box training rule (default: minmax)",
-    )
-    p.add_argument(
-        "--k",
-        type=_nonnegative_float,
-        default=2.0,
-        help="sigma multiplier for mean_sigma (default: 2)",
-    )
-    p.add_argument(
-        "--features",
-        choices=[m.value for m in analysis.FeatureKind],
-        default=analysis.FeatureKind.SMOOTHED.value,
-        help="classify raw bands, smoothed magnitudes, or both (default: smoothed)",
-    )
+    add_classifier(p, "classify raw bands, smoothed magnitudes, or both")
     add_kernel(p)
     add_boundary(p)
     p.set_defaults(func=cmd_classify)
@@ -543,24 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True, help="directory for all artifacts")
     add_kernel(p)
     add_boundary(p)
-    p.add_argument(
-        "--mode",
-        choices=[m.value for m in analysis.FitMode],
-        default=analysis.FitMode.MINMAX.value,
-        help="box training rule (default: minmax)",
-    )
-    p.add_argument(
-        "--k",
-        type=_nonnegative_float,
-        default=2.0,
-        help="sigma multiplier for mean_sigma (default: 2)",
-    )
-    p.add_argument(
-        "--features",
-        choices=[m.value for m in analysis.FeatureKind],
-        default=analysis.FeatureKind.SMOOTHED.value,
-        help="classifier input (default: smoothed)",
-    )
+    add_classifier(p, "classifier input")
     p.add_argument(
         "--threshold",
         type=_positive_float,

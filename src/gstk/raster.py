@@ -22,8 +22,6 @@ from .errors import DomainError, FileFormatError
 NUMPY_DTYPES = {"u8": np.uint8, "u16": np.uint16}
 DTYPE_MAX = {"u8": 255, "u16": 65535}
 
-_INT32_MAX = 2**31 - 1
-
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)

@@ -77,17 +77,19 @@ class TestCorrelation:
         assert r[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_against_direct_formula(self, rng):
-        img = random_image(rng, 3, 9, 7)
-        corr = correlation(img)
-        planes = [b.samples.astype(float).ravel() for b in img.bands]
-        for i, j in combinations(range(3), 2):
-            xi, xj = planes[i], planes[j]
-            mi = math.fsum(xi) / xi.size
-            mj = math.fsum(xj) / xj.size
-            cov = math.fsum((a - mi) * (b - mj) for a, b in zip(xi, xj)) / xi.size
-            si = math.sqrt(math.fsum((a - mi) ** 2 for a in xi) / xi.size)
-            sj = math.sqrt(math.fsum((b - mj) ** 2 for b in xj) / xj.size)
-            assert corr.r[i, j] == pytest.approx(cov / (si * sj), rel=1e-9)
+        for dtype in ("u8", "u16"):
+            img = random_image(rng, 3, 9, 7, dtype)
+            corr = correlation(img)
+            assert corr.stddev == tuple(band_stats(b).stddev for b in img.bands)
+            planes = [b.samples.astype(float).ravel() for b in img.bands]
+            for i, j in combinations(range(3), 2):
+                xi, xj = planes[i], planes[j]
+                mi = math.fsum(xi) / xi.size
+                mj = math.fsum(xj) / xj.size
+                cov = math.fsum((a - mi) * (b - mj) for a, b in zip(xi, xj)) / xi.size
+                si = math.sqrt(math.fsum((a - mi) ** 2 for a in xi) / xi.size)
+                sj = math.sqrt(math.fsum((b - mj) ** 2 for b in xj) / xj.size)
+                assert corr.r[i, j] == pytest.approx(cov / (si * sj), rel=1e-9)
 
     def test_matrix_shape_properties(self, rng):
         img = random_image(rng, 4, 6, 6)
@@ -104,6 +106,7 @@ class TestCorrelation:
         img = MultibandImage((flat, random_band(rng, 4, 4), random_band(rng, 4, 4)))
         corr = correlation(img)
         assert corr.zero_variance_bands == (0,)
+        assert corr.stddev == tuple(band_stats(b).stddev for b in img.bands)
         assert math.isnan(corr.r[0, 1])
         assert corr.r[0, 0] == 1.0
         assert not math.isnan(corr.r[1, 2])
@@ -201,6 +204,27 @@ class TestOifRank:
         assert doc["ranking"][0]["score"] >= doc["ranking"][-1]["score"]
         assert all(not e["infinite"] for e in doc["ranking"])
         json.dumps(doc)  # strictly serializable
+
+    def test_report_dict_computes_band_moments_once(self, rng, monkeypatch):
+        import gstk.analysis as analysis
+
+        calls = {"correlation": 0, "band_stats": 0}
+
+        def counted(name):
+            real = getattr(analysis, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(analysis, name, counted(name))
+        img = random_image(rng, 5, 6, 6)
+        doc = oif_report_dict(img)
+        assert calls == {"correlation": 1, "band_stats": 0}
+        assert doc["stddev"] == [band_stats(b).stddev for b in img.bands]
 
     def test_report_dict_infinite_scores_are_null(self):
         img = MultibandImage(tuple(Band(p) for p in _hadamard_bands(3)))

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import gstk
 from gstk import (
     Band,
     BoundaryMode,
@@ -408,6 +410,29 @@ class TestExitCodes:
             main(["derive", "--out", "x", "--fast"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["convolve", "--in", "i.pgm", "--out", "o.pgm", "--workers", "0"],
+             "argument --workers: must be >= 1, got 0"),
+            (["convolve", "--in", "i.pgm", "--out", "o.pgm", "--tile-rows", "x"],
+             "argument --tile-rows: not an integer: 'x'"),
+            (["convolve", "--in", "i.pgm", "--out", "o.pgm", "--lo-pct", "101"],
+             "argument --lo-pct: percentile must be in [0, 100], got 101.0"),
+            (["classify", "--in", "i.pgm", "--rois", "r.json", "--out-map", "m.pgm",
+              "--k", "-1"],
+             "argument --k: must be >= 0, got -1.0"),
+            (["compare", "--a", "a.npy", "--b", "b.npy", "--out", "o.json",
+              "--threshold", "0"],
+             "argument --threshold: must be > 0, got 0.0"),
+        ],
+    )
+    def test_bad_option_value_is_usage(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -425,9 +450,13 @@ class TestExitCodes:
         assert code == 2
 
     def test_console_script_help(self):
+        # The child must import the same gstk as this test, installed or not.
+        src = os.path.dirname(os.path.dirname(gstk.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         proc = subprocess.run(
             [sys.executable, "-m", "gstk", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "COMMAND" in proc.stdout
