@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
@@ -145,23 +144,24 @@ def _require_triples(n_bands: int) -> None:
         raise DomainError(f"OIF ranking needs at least 3 bands, got {n_bands}")
 
 
-def _rank_triples(image: MultibandImage, corr: CorrelationMatrix) -> list[OifScore]:
-    """Score every triple from the moments in ``corr``, best first."""
+def _rank_triples(
+    image: MultibandImage, corr: CorrelationMatrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """1-based triples, shape (m, 3), and their scores from ``corr``, best first."""
     n = image.n_bands
     _require_triples(n)
     dead = [image.name_of(i) for i in corr.zero_variance_bands]
     if dead:
         raise DomainError(f"zero-variance bands: {', '.join(dead)}")
-    std = corr.stddev
-    absr = np.abs(corr.r).tolist()
-    scores = []
-    for i, j, k in combinations(range(n), 3):
-        numer = std[i] + std[j] + std[k]
-        denom = absr[i][j] + absr[i][k] + absr[j][k]
-        score = numer / denom if denom > 0 else math.inf
-        scores.append(OifScore((i + 1, j + 1, k + 1), score))
-    scores.sort(key=lambda s: (-s.score, s.triple))
-    return scores
+    above = np.triu(np.ones((n, n), dtype=bool), 1)  # above[a, b] is a < b
+    i, j, k = np.nonzero(above[:, :, None] & above)
+    std = np.array(corr.stddev)
+    absr = np.abs(corr.r)
+    numer = std[i] + std[j] + std[k]
+    denom = absr[i, j] + absr[i, k] + absr[j, k]
+    scores = np.divide(numer, denom, out=np.full_like(numer, math.inf), where=denom > 0)
+    order = np.lexsort((k, j, i, -scores))
+    return np.column_stack((i, j, k))[order] + 1, scores[order]
 
 
 def oif_rank(image: MultibandImage) -> list[OifScore]:
@@ -172,14 +172,15 @@ def oif_rank(image: MultibandImage) -> list[OifScore]:
     """
     _require_triples(image.n_bands)
     _require_nonempty(image)
-    return _rank_triples(image, correlation(image))
+    triples, scores = _rank_triples(image, correlation(image))
+    return [OifScore(tuple(t), s) for t, s in zip(triples.tolist(), scores.tolist())]
 
 
 def oif_report_dict(image: MultibandImage) -> dict:
     """OIF ranking plus the inputs it derives from, as a JSON-ready dict."""
     _require_nonempty(image)
     corr = correlation(image)
-    ranking = _rank_triples(image, corr)
+    triples, scores = _rank_triples(image, corr)
     return {
         "bands": [image.name_of(i) for i in range(image.n_bands)],
         "stddev": list(corr.stddev),
@@ -188,11 +189,11 @@ def oif_report_dict(image: MultibandImage) -> dict:
         ],
         "ranking": [
             {
-                "triple": list(s.triple),
-                "score": None if math.isinf(s.score) else s.score,
-                "infinite": math.isinf(s.score),
+                "triple": t,
+                "score": None if math.isinf(s) else s,
+                "infinite": math.isinf(s),
             }
-            for s in ranking
+            for t, s in zip(triples.tolist(), scores.tolist())
         ],
     }
 
@@ -230,12 +231,14 @@ def rois_from_json(text: str) -> list[Roi]:
     for entry in doc["classes"]:
         if not isinstance(entry, dict) or "name" not in entry or "runs" not in entry:
             raise FileFormatError("each ROI class needs 'name' and 'runs'")
+        if not isinstance(entry["runs"], list):
+            raise FileFormatError("ROI class 'runs' must be a list of runs")
         pixels = []
         for run in entry["runs"]:
             if (
                 not isinstance(run, list)
                 or len(run) != 3
-                or not all(isinstance(v, int) for v in run)
+                or not all(isinstance(v, int) and not isinstance(v, bool) for v in run)
             ):
                 raise FileFormatError(f"bad run {run!r}: expected [row, col, length]")
             row, col, length = run

@@ -40,20 +40,18 @@ class BoundaryMode(str, Enum):
     ZERO = "zero"
 
 
+_PAD_MODES = {
+    BoundaryMode.REPLICATE: "edge",
+    BoundaryMode.REFLECT: "symmetric",
+    BoundaryMode.ZERO: "constant",
+}
+
+
 def _extended(band: Band, kernel: Kernel, boundary: BoundaryMode) -> np.ndarray:
     """Input extended so every kernel placement reads in-range, as int32."""
     ar, ac = kernel.anchor
     pads = ((ar, kernel.rows - 1 - ar), (ac, kernel.cols - 1 - ac))
-    if boundary == BoundaryMode.ZERO:
-        ext = np.zeros(
-            (band.height + kernel.rows - 1, band.width + kernel.cols - 1),
-            dtype=np.int32,
-        )
-        ext[pads[0][0] : pads[0][0] + band.height, pads[1][0] : pads[1][0] + band.width] = (
-            band.samples
-        )
-        return ext
-    mode = "edge" if boundary == BoundaryMode.REPLICATE else "symmetric"
+    mode = _PAD_MODES[BoundaryMode(boundary)]
     return np.pad(band.samples, pads, mode=mode).astype(np.int32)
 
 

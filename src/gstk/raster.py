@@ -304,11 +304,6 @@ class StretchMode(str, Enum):
     SIGNED_LINEAR = "signed_linear"
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    """Nearest integer, ties away from zero."""
-    return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
-
-
 def stretch(
     field: ResponseField,
     mode: StretchMode = StretchMode.ABS_LINEAR,
@@ -319,28 +314,33 @@ def stretch(
 
     ``abs_linear`` maps magnitudes, clipped at the given percentiles, to
     0..255; ``signed_linear`` maps [min, max] affinely to 0..255 (the
-    percentiles are ignored). Scaled values are rounded to the nearest
-    integer, ties away from zero. A degenerate (constant) window maps to
-    all zeros.
+    percentiles are ignored). The clip points are percentiles of the
+    magnitudes with linear interpolation between closest ranks (numpy's
+    default; Hyndman & Fan 1996, type 7). Scaled values are never
+    negative and are rounded to the nearest integer, ties away from zero.
+    A degenerate (constant) window maps to all zeros.
     """
     if field.width == 0 or field.height == 0:
         raise DomainError("cannot stretch an empty field")
     if not (0 <= lo_pct < hi_pct <= 100):
         raise DomainError(f"bad percentiles lo={lo_pct} hi={hi_pct}")
-    values = field.samples.astype(np.float64)
     if mode == StretchMode.ABS_LINEAR:
-        mag = np.abs(values)
-        lo = float(np.percentile(mag, lo_pct))
-        hi = float(np.percentile(mag, hi_pct))
-        source = np.clip(mag, lo, hi)
+        # Taken in float64, so |-2^31| is exact.
+        values = np.abs(field.samples, dtype=np.float64)
+        lo, hi = (float(p) for p in np.percentile(values, [lo_pct, hi_pct]))
+        np.clip(values, lo, hi, out=values)
     elif mode == StretchMode.SIGNED_LINEAR:
+        values = field.samples.astype(np.float64)
         lo = float(values.min())
         hi = float(values.max())
-        source = values
     else:
         raise DomainError(f"unknown stretch mode {mode!r}")
     if hi <= lo:
         return Band(np.zeros(field.samples.shape, dtype=np.uint8))
-    scaled = (source - lo) * (255.0 / (hi - lo))
-    out = np.minimum(_round_half_away(scaled), 255.0)
-    return Band(out.astype(np.uint8))
+    values -= lo
+    values *= 255.0 / (hi - lo)
+    # floor(x + 0.5) rounds ties away from zero because x >= 0 here.
+    values += 0.5
+    np.floor(values, out=values)
+    np.minimum(values, 255.0, out=values)
+    return Band(values.astype(np.uint8))

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FileFormatError
-from .raster import (
-    Band,
-    DTYPE_MAX,
-    MultibandImage,
-    NUMPY_DTYPES,
-    _round_half_away,
-)
+from .raster import Band, DTYPE_MAX, MultibandImage, NUMPY_DTYPES
 from .analysis import ClassificationMap
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -217,8 +211,10 @@ def scene_spec_from_json(text: str) -> SceneSpec:
     if not isinstance(doc, dict):
         raise FileFormatError("scene spec must be a JSON object")
 
-    def need(key: str, kind: type) -> object:
+    def need(key: str, kind: type, default: object = None) -> object:
         if key not in doc:
+            if default is not None:
+                return default
             raise FileFormatError(f"scene spec is missing {key!r}")
         value = doc[key]
         if kind is float:
@@ -248,7 +244,7 @@ def scene_spec_from_json(text: str) -> SceneSpec:
         )
 
     placements = []
-    for entry in doc.get("regions", []):
+    for entry in need("regions", list, []):
         if not isinstance(entry, dict) or "shape" not in entry or "class" not in entry:
             raise FileFormatError("each region needs 'shape' and 'class'")
         shape = entry["shape"]
@@ -275,7 +271,7 @@ def scene_spec_from_json(text: str) -> SceneSpec:
         seed=int(need("seed", int)),
         signatures=tuple(signatures),
         placements=tuple(placements),
-        background_class=int(doc.get("background_class", 1)),
+        background_class=int(need("background_class", int, 1)),
     )
 
 
@@ -353,8 +349,13 @@ def synth_scene(spec: SceneSpec) -> tuple[MultibandImage, ClassificationMap]:
     pixel_index = np.arange(n_pixels, dtype=np.uint64).reshape(spec.height, spec.width)
     bands = []
     for b in range(spec.n_bands):
-        g = gaussian_stream(spec.seed, pixel_index + np.uint64(b * n_pixels))
-        values = means[labels, b] + sigmas[labels, b] * g
-        values = np.clip(_round_half_away(values), 0, top)
+        values = gaussian_stream(spec.seed, pixel_index + np.uint64(b * n_pixels))
+        values *= sigmas[labels, b]
+        values += means[labels, b]
+        # floor(x + 0.5) differs from rounding half away from zero only
+        # below zero, where the clamp maps both to 0.
+        values += 0.5
+        np.floor(values, out=values)
+        np.clip(values, 0, top, out=values)
         bands.append(Band(values.astype(dtype)))
     return MultibandImage(tuple(bands)), truth

@@ -156,9 +156,31 @@ class TestOifRank:
                 )
                 expected.append(((i + 1, j + 1, k + 1), score))
             expected.sort(key=lambda t: (-t[1], t[0]))
-            assert [s.triple for s in got] == [t for t, _ in expected]
-            for s, (_, score) in zip(got, expected):
-                assert s.score == pytest.approx(score, rel=1e-9)
+            # The brute force sums in the program's order, so scores match exactly.
+            assert [(s.triple, s.score) for s in got] == expected
+            assert all(type(s.score) is float for s in got)
+            assert all(type(b) is int for s in got for b in s.triple)
+            ranking = oif_report_dict(img)["ranking"]
+            assert len(ranking) == len(got)
+            for entry, s in zip(ranking, got):
+                assert entry["triple"] == list(s.triple)
+                assert type(entry["score"]) is float and entry["score"] == s.score
+                assert entry["infinite"] is False
+
+    def test_mixed_finite_and_infinite_ranking(self, rng):
+        # Triple (1, 2, 3) is exactly uncorrelated, so its score is
+        # infinite; every triple with the random band 4 is finite.
+        planes = _hadamard_bands(3) + [rng.integers(0, 256, (1, 8), dtype=np.uint8)]
+        img = MultibandImage(tuple(Band(p) for p in planes))
+        scores = oif_rank(img)
+        assert scores[0].triple == (1, 2, 3) and math.isinf(scores[0].score)
+        finite = [s.score for s in scores[1:]]
+        assert len(finite) == 3 and all(math.isfinite(v) for v in finite)
+        assert finite == sorted(finite, reverse=True)
+        ranking = oif_report_dict(img)["ranking"]
+        assert [e["triple"] for e in ranking] == [list(s.triple) for s in scores]
+        assert [e["infinite"] for e in ranking] == [True, False, False, False]
+        assert [e["score"] for e in ranking] == [None] + finite
 
     def test_zero_variance_band_reported_by_name(self, rng):
         img = MultibandImage(
@@ -262,6 +284,11 @@ class TestRois:
             rois_from_json('{"classes": [{"name": "x", "runs": [[0, 0, 0]]}]}')
         with pytest.raises(FileFormatError, match="no classes"):
             rois_from_json('{"classes": []}')
+        for runs in ("5", "null"):
+            with pytest.raises(FileFormatError, match="runs"):
+                rois_from_json('{"classes": [{"name": "x", "runs": %s}]}' % runs)
+        with pytest.raises(FileFormatError, match="run"):
+            rois_from_json('{"classes": [{"name": "x", "runs": [[true, false, true]]}]}')
 
     def test_from_labels(self):
         labels = np.zeros((4, 4), dtype=np.int32)

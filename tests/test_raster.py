@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,6 +309,21 @@ class TestStretch:
         assert out.samples[0, 50] == 255
         assert out.samples[0, 100] == 255  # clipped at the hi percentile
         assert out.samples[0, 0] == 0
+
+    def test_int32_extremes_match_formula(self):
+        # |-2^31| is 2^31 exactly: an int32 abs would wrap it to -2^31 and a
+        # saturating one would collapse the 0..100 window to one value.
+        values = [-(2**31), 2**31 - 1]
+        f = ResponseField(np.array([values], dtype=np.int32))
+
+        def formula(xs, lo, hi):
+            return [[min(math.floor((x - lo) * (255.0 / (hi - lo)) + 0.5), 255) for x in xs]]
+
+        mags = [abs(v) for v in values]
+        out = stretch(f, StretchMode.ABS_LINEAR, 0.0, 100.0)
+        assert out.samples.tolist() == formula(mags, min(mags), max(mags)) == [[255, 0]]
+        out = stretch(f, StretchMode.SIGNED_LINEAR)
+        assert out.samples.tolist() == formula(values, min(values), max(values)) == [[0, 255]]
 
     def test_signed_linear_monotone(self, rng):
         values = rng.integers(-1000, 1000, (16, 16)).astype(np.int32)

@@ -252,20 +252,36 @@ class TestSynthScene:
         assert (truth.labels >= 1).all()
 
     def test_pixel_values_match_reference_stream(self):
-        # Strong oracle: recompute a scatter of pixels from the documented
-        # stream layout with the pure-Python PRNG.
-        spec = separable_scene_spec(seed=31337)
-        img, truth = synth_scene(spec)
-        h, w = spec.height, spec.width
-        probe = [(0, 0, 0), (0, 5, 7), (1, 79, 79), (2, 33, 21), (2, 0, 79)]
-        for band, row, col in probe:
-            label = int(truth.labels[row, col])
-            sig = spec.signatures[label - 1]
-            g = ref_gaussian(spec.seed, band * h * w + row * w + col)
-            value = sig.means[band] + sig.sigmas[band] * g
-            rounded = math.floor(value + 0.5) if value >= 0 else math.ceil(value - 0.5)
-            expected = min(max(rounded, 0), 255)
-            assert int(img.bands[band].samples[row, col]) == expected
+        # Strong oracle: recompute every pixel from the documented stream
+        # layout with the pure-Python PRNG. The second scene's values fall
+        # below 0 and above dtype_max before the clamp.
+        clamped = SceneSpec(
+            width=16,
+            height=12,
+            dtype="u16",
+            seed=31337,
+            signatures=(
+                ClassSignature("dark", (40.0, 65400.0), (900.0, 900.0)),
+                ClassSignature("bright", (65500.0, 30.0), (900.0, 900.0)),
+            ),
+            placements=(Placement(2, Rectangle(2, 3, 6, 8)),),
+        )
+        for spec in (separable_scene_spec(seed=31337), clamped):
+            img, truth = synth_scene(spec)
+            h, w = spec.height, spec.width
+            top = 255 if spec.dtype == "u8" else 65535
+            expected = np.empty((spec.n_bands, h, w), dtype=np.int64)
+            unclamped = []
+            for band, row, col in np.ndindex(expected.shape):
+                sig = spec.signatures[int(truth.labels[row, col]) - 1]
+                g = ref_gaussian(spec.seed, band * h * w + row * w + col)
+                value = sig.means[band] + sig.sigmas[band] * g
+                rounded = math.floor(value + 0.5) if value >= 0 else math.ceil(value - 0.5)
+                unclamped.append(rounded)
+                expected[band, row, col] = min(max(rounded, 0), top)
+            got = np.stack([b.samples for b in img.bands])
+            assert (got == expected).all()
+        assert min(unclamped) < 0 and max(unclamped) > top
 
     def test_region_means_near_signature(self):
         spec = separable_scene_spec()
@@ -353,6 +369,18 @@ class TestSceneSpecJson:
                 ' "classes": [{"name": "x", "means": [1], "sigmas": [0]}],'
                 ' "regions": [{"shape": "rect", "class": 1, "row": 0.5,'
                 ' "col": 0, "height": 1, "width": 1}]}'
+            )
+        with pytest.raises(FileFormatError, match="regions"):
+            scene_spec_from_json(
+                '{"width": 4, "height": 4, "dtype": "u8", "seed": 0,'
+                ' "classes": [{"name": "x", "means": [1], "sigmas": [0]}],'
+                ' "regions": 5}'
+            )
+        with pytest.raises(FileFormatError, match="background_class"):
+            scene_spec_from_json(
+                '{"width": 4, "height": 4, "dtype": "u8", "seed": 0,'
+                ' "classes": [{"name": "x", "means": [1], "sigmas": [0]}],'
+                ' "background_class": true}'
             )
 
     def test_semantic_errors_are_domain_errors(self):
