@@ -214,13 +214,15 @@ class Roi:
         object.__setattr__(self, "pixels", _readonly(arr))
 
 
-def rois_from_json(text: str) -> list[Roi]:
-    """Parse the ROI JSON document.
+def rois_from_json(text: str, shape: tuple[int, int]) -> list[Roi]:
+    """Parse the ROI JSON document for an image of ``shape`` (height, width).
 
     Schema: ``{"classes": [{"name": str, "runs": [[row, col, length],
     ...]}, ...]}`` where each run covers ``length`` pixels rightward from
-    (row, col). Class order defines class indices 1..K.
+    (row, col). Class order defines class indices 1..K. A run that leaves
+    the image raises DomainError before any pixel is built.
     """
+    height, width = shape
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -233,7 +235,7 @@ def rois_from_json(text: str) -> list[Roi]:
             raise FileFormatError("each ROI class needs 'name' and 'runs'")
         if not isinstance(entry["runs"], list):
             raise FileFormatError("ROI class 'runs' must be a list of runs")
-        pixels = []
+        name = str(entry["name"])
         for run in entry["runs"]:
             if (
                 not isinstance(run, list)
@@ -244,8 +246,22 @@ def rois_from_json(text: str) -> list[Roi]:
             row, col, length = run
             if length < 1:
                 raise FileFormatError(f"run length must be >= 1, got {length}")
-            pixels.extend((row, col + i) for i in range(length))
-        rois.append(Roi(str(entry["name"]), np.array(pixels, dtype=np.int64).reshape(-1, 2)))
+            if not (0 <= row < height and 0 <= col and col + length <= width):
+                raise DomainError(
+                    f"ROI {name!r} run {run} lies outside the {height}x{width} image"
+                )
+        runs = np.array(entry["runs"], dtype=np.int64).reshape(-1, 3)
+        rows, cols, lengths = runs.T
+        # The class's p-th pixel (counted over its runs in order) sits at
+        # its run's col plus p minus the pixels of all earlier runs.
+        before = np.cumsum(lengths) - lengths
+        pixels = np.column_stack(
+            [
+                np.repeat(rows, lengths),
+                np.repeat(cols - before, lengths) + np.arange(int(lengths.sum())),
+            ]
+        )
+        rois.append(Roi(name, pixels))
     if not rois:
         raise FileFormatError("ROI document defines no classes")
     return rois
@@ -303,7 +319,7 @@ class ClassificationMap:
             raise DomainError("labels must be integers")
         if arr.size and int(arr.min()) < 0:
             raise DomainError("labels must be non-negative")
-        object.__setattr__(self, "labels", _readonly(arr.astype(np.int32)))
+        object.__setattr__(self, "labels", _readonly(arr.astype(np.int32, copy=False)))
 
     @property
     def width(self) -> int:

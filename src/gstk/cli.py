@@ -203,11 +203,11 @@ def _load_field(path: str) -> ResponseField:
     return ResponseField(array)
 
 
-def _load_rois(path: str) -> list[analysis.Roi]:
+def _load_rois(path: str, image: MultibandImage) -> list[analysis.Roi]:
     """ROI JSON by extension, otherwise a PGM label raster."""
     if path.endswith(".json"):
         with open(path, "r", encoding="utf-8") as f:
-            return analysis.rois_from_json(f.read())
+            return analysis.rois_from_json(f.read(), (image.height, image.width))
     with open(path, "rb") as f:
         band = read_pgm(f.read())
     return analysis.rois_from_labels(band.samples)
@@ -275,7 +275,7 @@ def cmd_oif(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     image = _load_image(getattr(args, "in"))
-    rois = _load_rois(args.rois)
+    rois = _load_rois(args.rois, image)
     features = analysis.features_for_classification(
         image,
         analysis.FeatureKind(args.features),

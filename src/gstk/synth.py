@@ -9,6 +9,10 @@ depends on generation order, tiling, or how much of the scene is rendered.
 Stream layout: pixel (band, row, col) of a width-W, height-H scene draws
 its gaussian from stream index band*H*W + row*W + col, and gaussian k
 consumes uniforms 2k and 2k+1 (Box-Muller, cosine branch).
+
+Rendering evaluates each band in contiguous chunks of pixels in row-major
+order, so no full-frame temporary is built; by the counter-based layout
+this gives the same bytes as rendering the whole band at once.
 """
 
 from __future__ import annotations
@@ -26,6 +30,17 @@ from .analysis import ClassificationMap
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+# Largest width*height*bands a scene spec may ask for, checked before
+# anything is allocated: nearly 19x a 1536x1536x6 scene, and at most
+# 1 GiB of int32 labels.
+MAX_SCENE_SAMPLES = 2**28
+
+# Pixels per gaussian_stream call in synth_scene, measured on 1536x1536x6
+# u8 and 256x256x96 u16 scenes: 4096 or fewer pay Python overhead on every
+# call, and at 32768 the 512 KiB word buffer is page-faulted in anew on
+# every call.
+_CHUNK = 16384
+
 
 # ---------------------------------------------------------------------------
 # Counter-based PRNG
@@ -34,19 +49,54 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # silently, which is exactly the arithmetic SplitMix64 needs.
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= _MASK64:
+        raise DomainError(f"seed must fit in 64 bits, got {seed}")
+
+
+def _affine(indices: np.ndarray, step: int, offset: int, out: np.ndarray) -> np.ndarray:
+    """out = indices * step + offset, modulo 2^64."""
+    np.multiply(indices, np.uint64(step & _MASK64), out=out)
+    out += np.uint64(offset & _MASK64)
+    return out
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, applied to the uint64 array z in place."""
+    t = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """((word >> 11) + 1) * 2**-53 in place; returns the float64 view.
+
+    The shifted value is at most 2^53, so its int64 view converts to
+    float64 exactly.
+    """
+    words >>= np.uint64(11)
+    words += np.uint64(1)
+    out = words.view(np.float64)
+    np.multiply(words.view(np.int64), 2.0**-53, out=out)
+    return out
+
+
 def splitmix64(seed: int, indices: np.ndarray) -> np.ndarray:
     """SplitMix64 output words at the given stream indices.
 
     output(i) = mix(seed + (i+1) * 0x9E3779B97F4A7C15), so index 0 yields
     the first word a sequential SplitMix64 seeded the same way would.
     """
-    if not 0 <= seed <= _MASK64:
-        raise DomainError(f"seed must fit in 64 bits, got {seed}")
+    _check_seed(seed)
     idx = np.asarray(indices, dtype=np.uint64)
-    z = np.uint64(seed) + (idx + np.uint64(1)) * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    return _mix(_affine(idx, _GOLDEN, seed + _GOLDEN, np.empty(idx.shape, np.uint64)))
 
 
 def uniform_stream(seed: int, indices: np.ndarray) -> np.ndarray:
@@ -55,24 +105,58 @@ def uniform_stream(seed: int, indices: np.ndarray) -> np.ndarray:
     The +1 keeps zero out of the range so log() in the gaussian transform
     is always finite.
     """
-    words = splitmix64(seed, indices)
-    return ((words >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+    return _unit(splitmix64(seed, indices))
 
 
 def gaussian_stream(seed: int, indices: np.ndarray) -> np.ndarray:
     """Standard normals; gaussian k uses uniforms 2k and 2k+1 (Box-Muller)."""
+    _check_seed(seed)
     idx = np.asarray(indices, dtype=np.uint64)
-    u1 = uniform_stream(seed, idx * np.uint64(2))
-    u2 = uniform_stream(seed, idx * np.uint64(2) + np.uint64(1))
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    # Uniform 2k mixes seed + (2k+1)*G and uniform 2k+1 mixes that plus G.
+    z = np.empty((2,) + idx.shape, dtype=np.uint64)
+    _affine(idx, 2 * _GOLDEN, seed + _GOLDEN, z[0, ...])
+    np.add(z[0, ...], np.uint64(_GOLDEN), out=z[1, ...])
+    u = _unit(_mix(z))
+    radius, angle = u[0, ...], u[1, ...]
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * math.pi
+    np.cos(angle, out=angle)
+    radius *= angle
+    return radius
 
 
 # ---------------------------------------------------------------------------
 # Scene geometry
 
 
+def _clipped(start: int, stop: int, n: int) -> slice:
+    """[start, stop) cut to [0, n); empty, never wrapped, when outside."""
+    lo = min(max(start, 0), n)
+    return slice(lo, min(max(stop, lo), n))
+
+
+# A region's bounding box cut to the scene, and its pixels inside that box.
+_Window = tuple[tuple[slice, slice], np.ndarray]
+
+
+class _Region:
+    """Rasterization shared by the region shapes: each defines ``_window``."""
+
+    def _window(self, scene_height: int, scene_width: int) -> _Window:
+        raise NotImplementedError
+
+    def mask(self, scene_height: int, scene_width: int) -> np.ndarray:
+        """The region's pixels as a full scene_height x scene_width mask."""
+        m = np.zeros((scene_height, scene_width), dtype=bool)
+        box, inside = self._window(scene_height, scene_width)
+        m[box] = inside
+        return m
+
+
 @dataclass(frozen=True)
-class Rectangle:
+class Rectangle(_Region):
     """Axis-aligned rectangle: rows [row, row+height), cols [col, col+width)."""
 
     row: int
@@ -91,14 +175,15 @@ class Rectangle:
         ):
             raise DomainError(f"rectangle {self} exceeds the scene bounds")
 
-    def mask(self, scene_height: int, scene_width: int) -> np.ndarray:
-        m = np.zeros((scene_height, scene_width), dtype=bool)
-        m[self.row : self.row + self.height, self.col : self.col + self.width] = True
-        return m
+    def _window(self, scene_height: int, scene_width: int) -> _Window:
+        rows = _clipped(self.row, self.row + self.height, scene_height)
+        cols = _clipped(self.col, self.col + self.width, scene_width)
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        return (rows, cols), np.ones(shape, dtype=bool)
 
 
 @dataclass(frozen=True)
-class Disk:
+class Disk(_Region):
     """Pixels whose center distance from (row, col) is <= radius."""
 
     row: int
@@ -116,10 +201,13 @@ class Disk:
         ):
             raise DomainError(f"disk {self} exceeds the scene bounds")
 
-    def mask(self, scene_height: int, scene_width: int) -> np.ndarray:
-        rows = np.arange(scene_height)[:, None] - self.row
-        cols = np.arange(scene_width)[None, :] - self.col
-        return rows * rows + cols * cols <= self.radius * self.radius
+    def _window(self, scene_height: int, scene_width: int) -> _Window:
+        r = self.radius
+        rows = _clipped(self.row - r, self.row + r + 1, scene_height)
+        cols = _clipped(self.col - r, self.col + r + 1, scene_width)
+        dr = np.arange(rows.start, rows.stop)[:, None] - self.row
+        dc = np.arange(cols.start, cols.stop)[None, :] - self.col
+        return (rows, cols), dr * dr + dc * dc <= r * r
 
 
 @dataclass(frozen=True)
@@ -160,13 +248,17 @@ class SceneSpec:
             )
         if self.dtype not in NUMPY_DTYPES:
             raise DomainError(f"unknown dtype {self.dtype!r}")
-        if not 0 <= self.seed <= _MASK64:
-            raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
+        _check_seed(self.seed)
         if not self.signatures:
             raise DomainError("scene defines no classes")
         n_bands = len(self.signatures[0].means)
         if not 1 <= n_bands <= 255:
             raise DomainError(f"scene must have 1..255 bands, got {n_bands}")
+        if self.width * self.height * n_bands > MAX_SCENE_SAMPLES:
+            raise DomainError(
+                f"scene of {self.width}x{self.height}x{n_bands} samples exceeds "
+                f"the budget of {MAX_SCENE_SAMPLES} samples"
+            )
         top = DTYPE_MAX[self.dtype]
         for sig in self.signatures:
             if len(sig.means) != n_bands or len(sig.sigmas) != n_bands:
@@ -322,7 +414,10 @@ def paint_labels(spec: SceneSpec) -> ClassificationMap:
     """Class label of every pixel: background, then regions in spec order."""
     labels = np.full((spec.height, spec.width), spec.background_class, dtype=np.int32)
     for placement in spec.placements:
-        labels[placement.region.mask(spec.height, spec.width)] = placement.class_index
+        box, inside = placement.region._window(spec.height, spec.width)
+        labels[box][inside] = placement.class_index
+    # Read-only, so ClassificationMap keeps this array instead of a copy.
+    labels.setflags(write=False)
     return ClassificationMap(labels)
 
 
@@ -334,28 +429,36 @@ def synth_scene(spec: SceneSpec) -> tuple[MultibandImage, ClassificationMap]:
     stream index, so output is identical however the scene is tiled.
     """
     truth = paint_labels(spec)
-    labels = truth.labels
+    labels = truth.labels.reshape(-1)
     top = DTYPE_MAX[spec.dtype]
-    dtype = NUMPY_DTYPES[spec.dtype]
     n_pixels = spec.height * spec.width
 
-    # Lookup row 0 is a placeholder; labels are 1-based.
-    means = np.zeros((spec.n_classes + 1, spec.n_bands), dtype=np.float64)
+    # Per-band lookups by class; column 0 is a placeholder, labels are 1-based.
+    means = np.zeros((spec.n_bands, spec.n_classes + 1), dtype=np.float64)
     sigmas = np.zeros_like(means)
     for c, sig in enumerate(spec.signatures, start=1):
-        means[c] = sig.means
-        sigmas[c] = sig.sigmas
+        means[:, c] = sig.means
+        sigmas[:, c] = sig.sigmas
 
-    pixel_index = np.arange(n_pixels, dtype=np.uint64).reshape(spec.height, spec.width)
     bands = []
     for b in range(spec.n_bands):
-        values = gaussian_stream(spec.seed, pixel_index + np.uint64(b * n_pixels))
-        values *= sigmas[labels, b]
-        values += means[labels, b]
-        # floor(x + 0.5) differs from rounding half away from zero only
-        # below zero, where the clamp maps both to 0.
-        values += 0.5
-        np.floor(values, out=values)
-        np.clip(values, 0, top, out=values)
-        bands.append(Band(values.astype(dtype)))
+        samples = np.empty(n_pixels, dtype=NUMPY_DTYPES[spec.dtype])
+        first = b * n_pixels
+        for start in range(0, n_pixels, _CHUNK):
+            stop = min(start + _CHUNK, n_pixels)
+            values = gaussian_stream(
+                spec.seed, np.arange(first + start, first + stop, dtype=np.uint64)
+            )
+            classes = labels[start:stop]
+            values *= np.take(sigmas[b], classes)
+            values += np.take(means[b], classes)
+            # floor(x + 0.5) differs from rounding half away from zero only
+            # below zero, where the clamp maps both to 0.
+            values += 0.5
+            np.floor(values, out=values)
+            np.clip(values, 0, top, out=values)
+            samples[start:stop] = values
+        samples = samples.reshape(spec.height, spec.width)
+        samples.setflags(write=False)
+        bands.append(Band(samples))
     return MultibandImage(tuple(bands)), truth

@@ -99,6 +99,20 @@ def ref_gaussian(seed: int, index: int) -> float:
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
+def ref_gaussian_numpy(seed: int, indices) -> np.ndarray:
+    """ref_gaussian's Box-Muller with numpy's elementwise log, sqrt and cos.
+
+    The uniforms come from the pure-Python stream. numpy's SIMD log is not
+    always correctly rounded, so it can differ from math.log in the last
+    bit; this reference pins the library's exact float64 output.
+    """
+    flat = [int(i) for i in np.asarray(indices).reshape(-1)]
+    u1 = np.array([ref_uniform(seed, 2 * i) for i in flat], dtype=np.float64)
+    u2 = np.array([ref_uniform(seed, 2 * i + 1) for i in flat], dtype=np.float64)
+    g = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    return g.reshape(np.shape(indices))
+
+
 # ---------------------------------------------------------------------------
 # Scene fixtures
 

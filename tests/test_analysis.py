@@ -266,29 +266,42 @@ class TestRois:
                 ]
             }
         )
-        rois = rois_from_json(text)
+        rois = rois_from_json(text, (6, 6))
         assert [r.name for r in rois] == ["sea", "soil"]
         assert rois[0].pixels.tolist() == [[0, 0], [0, 1], [0, 2], [1, 2]]
         assert rois[1].pixels.tolist() == [[5, 4], [5, 5]]
 
     def test_from_json_errors(self):
         with pytest.raises(FileFormatError):
-            rois_from_json("not json")
+            rois_from_json("not json", (4, 4))
         with pytest.raises(FileFormatError):
-            rois_from_json("[]")
+            rois_from_json("[]", (4, 4))
         with pytest.raises(FileFormatError):
-            rois_from_json('{"classes": [{"name": "x"}]}')
+            rois_from_json('{"classes": [{"name": "x"}]}', (4, 4))
         with pytest.raises(FileFormatError, match="run"):
-            rois_from_json('{"classes": [{"name": "x", "runs": [[0, 0]]}]}')
+            rois_from_json('{"classes": [{"name": "x", "runs": [[0, 0]]}]}', (4, 4))
         with pytest.raises(FileFormatError, match="length"):
-            rois_from_json('{"classes": [{"name": "x", "runs": [[0, 0, 0]]}]}')
+            rois_from_json('{"classes": [{"name": "x", "runs": [[0, 0, 0]]}]}', (4, 4))
         with pytest.raises(FileFormatError, match="no classes"):
-            rois_from_json('{"classes": []}')
+            rois_from_json('{"classes": []}', (4, 4))
         for runs in ("5", "null"):
             with pytest.raises(FileFormatError, match="runs"):
-                rois_from_json('{"classes": [{"name": "x", "runs": %s}]}' % runs)
+                rois_from_json('{"classes": [{"name": "x", "runs": %s}]}' % runs, (4, 4))
         with pytest.raises(FileFormatError, match="run"):
-            rois_from_json('{"classes": [{"name": "x", "runs": [[true, false, true]]}]}')
+            rois_from_json('{"classes": [{"name": "x", "runs": [[true, false, true]]}]}', (4, 4))
+
+    @pytest.mark.parametrize(
+        "run", [[4, 0, 1], [-1, 0, 1], [0, -1, 2], [0, 3, 3], [3, 0, 10**9]]
+    )
+    def test_from_json_run_outside_image(self, run):
+        text = json.dumps({"classes": [{"name": "x", "runs": [[0, 0, 1], run]}]})
+        with pytest.raises(DomainError, match="outside the 4x5 image"):
+            rois_from_json(text, (4, 5))
+
+    def test_from_json_runs_to_the_image_edge(self):
+        text = json.dumps({"classes": [{"name": "x", "runs": [[3, 0, 5], [0, 4, 1]]}]})
+        (roi,) = rois_from_json(text, (4, 5))
+        assert roi.pixels.tolist() == [[3, c] for c in range(5)] + [[0, 4]]
 
     def test_from_labels(self):
         labels = np.zeros((4, 4), dtype=np.int32)

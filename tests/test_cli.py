@@ -221,6 +221,21 @@ class TestClassify:
         assert code == 0
         assert "classified 6400 pixels into 3 classes" in capsys.readouterr().out
 
+    def test_roi_run_outside_image_is_domain_error(self, tmp_path, capsys):
+        # Checked against the image before any pixel of the run is built.
+        _write_scene(tmp_path, separable_scene_spec())
+        rois = {"classes": [{"name": "sea", "runs": [[0, 0, 10**9]]}]}
+        (tmp_path / "rois.json").write_text(json.dumps(rois))
+        code = main(
+            ["classify",
+             "--in", str(tmp_path / "scene.bsq"),
+             "--rois", str(tmp_path / "rois.json"),
+             "--out-map", str(tmp_path / "map.pgm")]
+        )
+        assert code == 3
+        assert "outside the 80x80 image" in capsys.readouterr().err
+        assert not (tmp_path / "map.pgm").exists()
+
     def test_confusion_requires_truth(self, tmp_path):
         _write_scene(tmp_path, separable_scene_spec())
         code = main(
@@ -363,6 +378,20 @@ class TestSynth:
                      "--out-image", str(tmp_path / "i.bsq"),
                      "--out-truth", str(tmp_path / "t.pgm")])
         assert code == 3
+
+
+    def test_oversized_spec_is_domain_error(self, tmp_path, capsys):
+        doc = {
+            "width": 10**6, "height": 10**6, "dtype": "u8", "seed": 4,
+            "classes": [{"name": "bg", "means": [9], "sigmas": [1]}],
+        }
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        code = main(["synth", "--spec", str(tmp_path / "spec.json"),
+                     "--out-image", str(tmp_path / "i.bsq"),
+                     "--out-truth", str(tmp_path / "t.pgm")])
+        assert code == 3
+        assert "budget" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
 class TestPipeline:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gstk import synth
 from gstk import (
     BoundaryMode,
     ClassSignature,
@@ -21,7 +23,15 @@ from gstk import (
     synth_scene,
     uniform_stream,
 )
-from conftest import ref_gaussian, ref_splitmix64, ref_uniform, separable_scene_spec
+from conftest import (
+    ref_gaussian,
+    ref_gaussian_numpy,
+    ref_splitmix64,
+    ref_uniform,
+    separable_scene_spec,
+)
+
+_SPREAD = np.random.default_rng(2014).integers(0, 2**64 - 1, 3000, dtype=np.uint64)
 
 
 class TestSplitMix64:
@@ -78,6 +88,27 @@ class TestStreams:
         for i in range(30):
             assert float(g[i]) == pytest.approx(ref_gaussian(99, i), rel=0, abs=0)
 
+    @pytest.mark.parametrize(
+        "seed,indices",
+        [
+            (99, np.arange(5, 2 * synth._CHUNK + 777 + 5)),  # > 2 chunks, partial last
+            (99, _SPREAD),  # scattered, index * 2G wraps
+            (99, np.arange(3 * synth._CHUNK)[::-7]),  # reversed, strided
+            (99, np.arange(2 * synth._CHUNK + 30).reshape(2, -1)[:, 3:]),  # 2-D
+            (99, np.arange(0)),
+            (2**64 - 1, np.arange(2000)),  # seed + G wraps
+        ],
+        ids=["chunks", "scattered", "reversed", "2d", "empty", "top-seed"],
+    )
+    def test_gaussian_matches_reference_on_any_index_layout(self, seed, indices):
+        got = gaussian_stream(seed, indices)
+        assert got.shape == indices.shape and got.dtype == np.float64
+        assert (got == ref_gaussian_numpy(seed, indices)).all()
+        # numpy's log may differ from math.log in the last bit only.
+        exact = np.array([ref_gaussian(seed, int(i)) for i in indices.reshape(-1)])
+        err = np.abs(got.reshape(-1) - exact)
+        assert (err <= 2 * np.spacing(np.abs(exact))).all()
+
     def test_gaussian_moments(self):
         g = gaussian_stream(5, np.arange(200000))
         assert abs(float(g.mean())) < 0.01
@@ -97,6 +128,20 @@ class TestGeometry:
         assert plus.sum() == 5  # center plus 4 neighbors
         assert plus[2, 2] and plus[1, 2] and plus[2, 1]
         assert not plus[1, 1]
+
+    def test_masks_match_full_frame_formula(self):
+        # Regions are rasterized inside their bounding box cut to the scene;
+        # that must equal the formula evaluated over the whole frame, also
+        # for regions reaching past an edge or lying outside.
+        rows, cols = np.indices((7, 9))
+        for row, col, radius in [(3, 4, 2), (0, 0, 3), (6, 8, 4), (3, 4, 9), (-5, 2, 3)]:
+            expected = (rows - row) ** 2 + (cols - col) ** 2 <= radius * radius
+            assert np.array_equal(Disk(row, col, radius).mask(7, 9), expected)
+        for row, col, height, width in [(1, 2, 3, 4), (-2, -3, 4, 5), (5, 7, 9, 9), (8, 0, 2, 2)]:
+            expected = (
+                (rows >= row) & (rows < row + height) & (cols >= col) & (cols < col + width)
+            )
+            assert np.array_equal(Rectangle(row, col, height, width).mask(7, 9), expected)
 
     def test_rectangle_bounds_validation(self):
         Rectangle(0, 0, 4, 4).validate(4, 4)
@@ -136,6 +181,20 @@ class TestSceneSpecValidation:
             _one_class_spec(width=0)
         with pytest.raises(DomainError):
             _one_class_spec(height=-2)
+
+    def test_sample_budget(self):
+        # width * height * bands may reach MAX_SCENE_SAMPLES, not exceed it.
+        side = 2**14
+        assert side * side == synth.MAX_SCENE_SAMPLES
+        _one_class_spec(width=side, height=side)
+        with pytest.raises(DomainError, match="budget"):
+            _one_class_spec(width=side, height=side + 1)
+        with pytest.raises(DomainError, match="budget"):
+            _one_class_spec(
+                width=side,
+                height=side,
+                signatures=(ClassSignature("x", (1.0, 1.0), (0.0, 0.0)),),
+            )
 
     def test_rejects_bad_dtype_and_seed(self):
         with pytest.raises(DomainError):
@@ -266,7 +325,24 @@ class TestSynthScene:
             ),
             placements=(Placement(2, Rectangle(2, 3, 6, 8)),),
         )
-        for spec in (separable_scene_spec(seed=31337), clamped):
+        # Each band spans two chunks, the second one partial.
+        chunked = SceneSpec(
+            width=97,
+            height=181,
+            dtype="u16",
+            seed=2**64 - 5,
+            signatures=(
+                ClassSignature("plain", (3000.0, 41000.0), (250.0, 70.0)),
+                ClassSignature("pond", (52000.0, 900.0), (400.0, 35.0)),
+            ),
+            placements=(
+                Placement(2, Disk(120, 40, 33)),
+                Placement(2, Rectangle(10, 60, 150, 20)),
+            ),
+        )
+        n_pixels = chunked.width * chunked.height
+        assert synth._CHUNK < n_pixels < 2 * synth._CHUNK
+        for spec in (separable_scene_spec(seed=31337), chunked, clamped):
             img, truth = synth_scene(spec)
             h, w = spec.height, spec.width
             top = 255 if spec.dtype == "u8" else 65535
@@ -282,6 +358,30 @@ class TestSynthScene:
             got = np.stack([b.samples for b in img.bands])
             assert (got == expected).all()
         assert min(unclamped) < 0 and max(unclamped) > top
+
+    def test_peak_memory_below_one_float64_frame_over_result(self):
+        # Rendering keeps no full-frame temporaries: tracemalloc's peak (it
+        # counts numpy buffers) stays below the memory the result keeps plus
+        # one 8 MiB float64 frame of this 1024x1024 scene.
+        spec = SceneSpec(
+            width=1024,
+            height=1024,
+            dtype="u8",
+            seed=11,
+            signatures=(
+                ClassSignature("bg", (60.0, 90.0), (4.0, 4.0)),
+                ClassSignature("disk", (180.0, 30.0), (6.0, 6.0)),
+            ),
+            placements=(Placement(2, Disk(512, 512, 300)),),
+        )
+        tracemalloc.start()
+        try:
+            image, truth = synth_scene(spec)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained >= 6 * 2**20  # int32 labels plus two u8 bands
+        assert peak < retained + 8 * 2**20
 
     def test_region_means_near_signature(self):
         spec = separable_scene_spec()
