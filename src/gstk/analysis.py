@@ -176,26 +176,100 @@ def oif_rank(image: MultibandImage) -> list[OifScore]:
     return [OifScore(tuple(t), s) for t, s in zip(triples.tolist(), scores.tolist())]
 
 
-def oif_report_dict(image: MultibandImage) -> dict:
-    """OIF ranking plus the inputs it derives from, as a JSON-ready dict."""
-    _require_nonempty(image)
-    corr = correlation(image)
-    triples, scores = _rank_triples(image, corr)
-    return {
-        "bands": [image.name_of(i) for i in range(image.n_bands)],
-        "stddev": list(corr.stddev),
-        "correlation": [
-            [None if math.isnan(v) else v for v in row] for row in corr.r.tolist()
-        ],
-        "ranking": [
+# One ranking entry exactly as ``json.dumps(report, indent=2)`` lays it
+# out at its depth: %d for each band number, then %s for the score and the
+# infinite flag.
+_OIF_ENTRY = (
+    "    {\n"
+    '      "triple": [\n'
+    "        %d,\n"
+    "        %d,\n"
+    "        %d\n"
+    "      ],\n"
+    '      "score": %s,\n'
+    '      "infinite": %s\n'
+    "    }"
+)
+
+
+@dataclass(frozen=True)
+class OifReport:
+    """OIF ranking plus the inputs it derives from.
+
+    ``triples`` holds 1-based band numbers, shape (m, 3), best first, and
+    ``scores`` the matching float64 scores (+inf when all three pairwise
+    correlations are zero).
+    """
+
+    bands: tuple[str, ...]
+    corr: CorrelationMatrix
+    triples: np.ndarray
+    scores: np.ndarray
+
+    def __post_init__(self) -> None:
+        triples = np.asarray(self.triples, dtype=np.int64).reshape(-1, 3)
+        object.__setattr__(self, "triples", _readonly(triples))
+        scores = np.asarray(self.scores, dtype=np.float64)
+        object.__setattr__(self, "scores", _readonly(scores))
+
+    def _head(self) -> dict:
+        return {
+            "bands": list(self.bands),
+            "stddev": list(self.corr.stddev),
+            "correlation": [
+                [None if math.isnan(v) else v for v in row]
+                for row in self.corr.r.tolist()
+            ],
+            "ranking": [],
+        }
+
+    def to_dict(self) -> dict:
+        doc = self._head()
+        doc["ranking"] = [
             {
                 "triple": t,
                 "score": None if math.isinf(s) else s,
                 "infinite": math.isinf(s),
             }
-            for t, s in zip(triples.tolist(), scores.tolist())
-        ],
-    }
+            for t, s in zip(self.triples.tolist(), self.scores.tolist())
+        ]
+        return doc
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte.
+
+        The ranking is written by one %-format over its columns rather
+        than by walking a dict per triple: %s of a Python float is
+        ``float.__repr__``, which is what ``json`` writes for it.
+        """
+        head = json.dumps(self._head(), indent=2)
+        m = len(self.scores)
+        if m == 0:
+            return head + "\n"
+        infinite = np.isinf(self.scores)
+        cells = np.empty((m, 5), dtype=object)
+        cells[:, :3] = self.triples
+        cells[:, 3] = self.scores
+        cells[:, 4] = "false"
+        cells[infinite, 3] = "null"
+        cells[infinite, 4] = "true"
+        ranking = (_OIF_ENTRY + (",\n" + _OIF_ENTRY) * (m - 1)) % tuple(cells.flat)
+        # The head ends with its empty ranking, '[]\n}'.
+        return "".join((head[:-4], "[\n", ranking, "\n  ]\n}\n"))
+
+
+def oif_report(image: MultibandImage) -> OifReport:
+    """Rank every band triple of ``image`` and keep what the ranking used."""
+    _require_nonempty(image)
+    corr = correlation(image)
+    triples, scores = _rank_triples(image, corr)
+    bands = tuple(image.name_of(i) for i in range(image.n_bands))
+    return OifReport(bands, corr, triples, scores)
+
+
+def oif_report_dict(image: MultibandImage) -> dict:
+    """OIF ranking plus the inputs it derives from, as a JSON-ready dict."""
+    return oif_report(image).to_dict()
 
 
 # ---------------------------------------------------------------------------

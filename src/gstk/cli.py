@@ -2,9 +2,12 @@
 
 Every subcommand is a thin shell over the library: it loads inputs,
 calls the same functions a caller would, and serializes the results.
-Outputs are computed fully before anything is written, and each file is
-written to a temporary sibling and renamed into place, so a failing run
-never leaves partial output behind.
+Outputs are computed fully before anything is written. Each file is then
+written to a temporary sibling, and only when every temporary is written
+are they renamed into place one by one. Each file is therefore replaced
+atomically and no temporary file is left behind, but the set of files is
+not replaced atomically: if a later rename fails, the files already
+renamed stay replaced.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or file-format error,
 3 domain error (invalid values, zero-variance bands, and so on).
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -105,11 +109,11 @@ def _kernel_from_choice(choice: str) -> Kernel:
 
 
 # ---------------------------------------------------------------------------
-# Staged (all-or-nothing) output
+# Staged output
 
 
 class _Stage:
-    """Collects output files, then commits them all via temp + rename."""
+    """Collects output files, then commits each one via temp + rename."""
 
     def __init__(self) -> None:
         self._items: list[tuple[str, bytes]] = []
@@ -223,8 +227,11 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _score_text(score: float | None) -> str:
-    return "infinite" if score is None or score == float("inf") else f"{score:.6f}"
+def _top_triple_line(report: analysis.OifReport) -> str:
+    triple = tuple(report.triples[0].tolist())
+    score = float(report.scores[0])
+    score_text = "infinite" if math.isinf(score) else f"{score:.6f}"
+    return f"top triple: {triple} score {score_text}"
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +270,11 @@ def cmd_convolve(args: argparse.Namespace) -> int:
 
 def cmd_oif(args: argparse.Namespace) -> int:
     image = _load_image(getattr(args, "in"))
-    report = analysis.oif_report_dict(image)
+    report = analysis.oif_report(image)
     stage = _Stage()
-    stage.add_text(args.out, _json_text(report))
+    stage.add_text(args.out, report.to_json())
     stage.commit()
-    best = report["ranking"][0]
-    triple = tuple(best["triple"])
-    print(f"top triple: {triple} score {_score_text(best['score'])}")
+    print(_top_triple_line(report))
     return EXIT_OK
 
 
@@ -363,7 +368,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     oif_report = None
     if image.n_bands >= 3:
-        oif_report = analysis.oif_report_dict(image)
+        oif_report = analysis.oif_report(image)
 
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
@@ -381,14 +386,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     stage.add_text(os.path.join(out, "confusion.json"), _json_text(confusion.to_dict()))
     stage.add_text(os.path.join(out, "compare.json"), _json_text(compare.to_dict()))
     if oif_report is not None:
-        stage.add_text(os.path.join(out, "oif.json"), _json_text(oif_report))
+        stage.add_text(os.path.join(out, "oif.json"), oif_report.to_json())
     stage.commit()
 
     if oif_report is not None:
-        best = oif_report["ranking"][0]
-        print(
-            f"top triple: {tuple(best['triple'])} score {_score_text(best['score'])}"
-        )
+        print(_top_triple_line(oif_report))
     print(f"overall accuracy: {confusion.overall_accuracy:.6f}")
     return EXIT_OK
 

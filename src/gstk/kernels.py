@@ -20,6 +20,11 @@ from .errors import DomainError, FileFormatError
 # Coefficient magnitudes must fit in 16 signed bits.
 _COEFF_LIMIT = 1 << 15
 
+# Most rows or columns a kernel may have. Convolving pads the band by the
+# kernel size minus one on each axis before any work, so an unbounded
+# kernel file could ask for gigabytes; 255 is 51x the 5x5 template.
+MAX_KERNEL_SIDE = 255
+
 
 @dataclass(frozen=True)
 class Kernel:
@@ -38,6 +43,7 @@ class Kernel:
         if not self.coeffs or not self.coeffs[0]:
             raise DomainError("kernel grid must be non-empty")
         cols = len(self.coeffs[0])
+        _check_side(len(self.coeffs), cols)
         for row in self.coeffs:
             if len(row) != cols:
                 raise DomainError("kernel grid rows must all have the same length")
@@ -213,17 +219,26 @@ def laplacian_template() -> Kernel:
     )
 
 
+def _check_side(rows: int, cols: int) -> None:
+    if rows > MAX_KERNEL_SIDE or cols > MAX_KERNEL_SIDE:
+        raise DomainError(f"kernel has more than {MAX_KERNEL_SIDE} rows or columns")
+
+
 def parse_kernel(text: str) -> Kernel:
     """Parse the kernel text format.
 
     The format is a whitespace-separated integer grid, one row per line,
     with an optional leading ``anchor R C`` header. Without the header the
-    anchor is the geometric center, which requires odd dimensions.
+    anchor is the geometric center, which requires odd dimensions. A grid
+    wider or taller than ``MAX_KERNEL_SIDE`` raises DomainError as soon as
+    the offending row is read.
     """
     anchor: tuple[int, int] | None = None
     rows: list[list[int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
+        # At most MAX_KERNEL_SIDE + 1 tokens: the last holds the rest of an
+        # overlong row unsplit.
+        tokens = line.split(maxsplit=MAX_KERNEL_SIDE)
         if not tokens:
             continue
         if tokens[0] == "anchor":
@@ -240,6 +255,7 @@ def parse_kernel(text: str) -> Kernel:
                     f"line {lineno}: anchor indices must be integers"
                 ) from None
             continue
+        _check_side(len(rows) + 1, len(tokens))
         try:
             row = [int(t) for t in tokens]
         except ValueError:

@@ -8,7 +8,10 @@ depends on generation order, tiling, or how much of the scene is rendered.
 
 Stream layout: pixel (band, row, col) of a width-W, height-H scene draws
 its gaussian from stream index band*H*W + row*W + col, and gaussian k
-consumes uniforms 2k and 2k+1 (Box-Muller, cosine branch).
+consumes uniforms 2k and 2k+1 (Box-Muller, cosine branch). The words and
+uniforms are exact on every platform; the gaussians go through numpy's
+log, sqrt and cos, whose last bit may differ between hosts (see the PRNG
+section of docs/formats.md).
 
 Rendering evaluates each band in contiguous chunks of pixels in row-major
 order, so no full-frame temporary is built; by the counter-based layout

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -14,6 +15,7 @@ from gstk import (
     FileFormatError,
     FitMode,
     MultibandImage,
+    OifReport,
     ResponseField,
     Roi,
     accuracy,
@@ -24,12 +26,14 @@ from gstk import (
     features_for_classification,
     fit_classes,
     oif_rank,
+    oif_report,
     oif_report_dict,
     rois_from_json,
     rois_from_labels,
+    synth_scene,
 )
 from gstk.analysis import classification_to_band
-from conftest import random_band, random_image
+from conftest import forced_oif_spec, random_band, random_image
 
 
 def _image(*planes, dtype=np.uint8):
@@ -254,6 +258,74 @@ class TestOifRank:
         assert doc["ranking"][0]["score"] is None
         assert doc["ranking"][0]["infinite"] is True
         json.dumps(doc, allow_nan=False)
+
+    @pytest.mark.parametrize(
+        "bands, message",
+        [
+            ((np.zeros((0, 3)), np.zeros((0, 3))), "empty"),
+            ((np.arange(4).reshape(2, 2),), "at least 2 bands"),
+            ((np.arange(4).reshape(2, 2), np.eye(2)), "at least 3 bands"),
+            (
+                (np.arange(4).reshape(2, 2), np.ones((2, 2)), np.eye(2)),
+                "zero-variance bands: band 2",
+            ),
+        ],
+    )
+    def test_report_errors_in_order(self, bands, message):
+        with pytest.raises(DomainError, match=message):
+            oif_report(_image(*bands))
+
+
+def _walsh_image():
+    """Three 2x2 bands with exactly zero pairwise correlations."""
+    return _image([[0, 1], [0, 1]], [[0, 0], [1, 1]], [[0, 1], [1, 0]])
+
+
+def _json_cases():
+    rng = np.random.default_rng(20261018)
+    yield pytest.param(synth_scene(forced_oif_spec())[0], id="forced_oif_spec")
+    for dtype in ("u8", "u16"):
+        for n in (3, 4, 17):
+            image = random_image(rng, n, 7, 5, dtype)
+            yield pytest.param(image, id=f"random-{dtype}-{n}")
+    names = ('say "hi"', "back\\slash", "Zürich ☃")
+    image = MultibandImage(random_image(rng, 3, 4, 4).bands, names)
+    yield pytest.param(image, id="escaped-names")
+    yield pytest.param(_walsh_image(), id="all-infinite")
+    planes = _hadamard_bands(3) + [rng.integers(0, 256, (1, 8), dtype=np.uint8)]
+    yield pytest.param(MultibandImage(tuple(Band(p) for p in planes)), id="mixed")
+
+
+class TestOifReportJson:
+    @pytest.mark.parametrize("image", list(_json_cases()))
+    def test_bytes_equal_indented_dumps(self, image):
+        report = oif_report(image)
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+
+    def test_report_arrays(self):
+        report = oif_report(_walsh_image())
+        assert report.bands == ("band 1", "band 2", "band 3")
+        assert report.triples.tolist() == [[1, 2, 3]]
+        assert report.scores.tolist() == [math.inf]
+        assert report.to_dict() == oif_report_dict(_walsh_image())
+        assert '"score": null' in report.to_json()
+        empty = OifReport(report.bands, report.corr, [], [])
+        assert empty.to_json() == json.dumps(empty.to_dict(), indent=2) + "\n"
+
+    def test_peak_memory_bounded_by_text(self):
+        # Building one dict per triple and walking them with the pure-Python
+        # indented encoder peaks above 9x the text (20.8 MiB for 2.3 MiB of
+        # text); the arrays and one %-format stay under 5x.
+        rng = np.random.default_rng(48)
+        image = random_image(rng, 48, 64, 64, "u16")
+        tracemalloc.start()
+        try:
+            text = oif_report(image).to_json()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 2 * 2**20
+        assert peak < 5 * len(text), f"peak {peak} B for {len(text)} B of text"
 
 
 class TestRois:

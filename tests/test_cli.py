@@ -126,6 +126,19 @@ class TestConvolve:
                      "--out", str(out_name), "--kernel", "laplacian3"]) == 0
         assert out_file.read_bytes() == out_name.read_bytes()
 
+    @pytest.mark.parametrize("width, code", [(255, 0), (257, 3)])
+    def test_kernel_side_budget(self, tmp_path, rng, capsys, width, code):
+        (tmp_path / "in.pgm").write_bytes(write_pgm(random_band(rng, 6, 6)))
+        row = ["0"] * width
+        row[width // 2] = "1"
+        (tmp_path / "k.txt").write_text(" ".join(row) + "\n")
+        out = tmp_path / "out.pgm"
+        assert main(["convolve", "--in", str(tmp_path / "in.pgm"), "--out", str(out),
+                     "--kernel", "file:" + str(tmp_path / "k.txt")]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "domain error: kernel has more than 255" in capsys.readouterr().err
+
     def test_multiband_to_pgm_rejected(self, tmp_path):
         _write_scene(tmp_path, separable_scene_spec())
         code = main(
@@ -153,13 +166,46 @@ class TestConvolve:
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_failed_rename_keeps_earlier_files_replaced(
+        self, tmp_path, rng, monkeypatch
+    ):
+        # Each file is replaced atomically, the set is not: when the second
+        # rename fails, the first output already holds the new bytes.
+        band = random_band(rng, 6, 6)
+        (tmp_path / "in.pgm").write_bytes(write_pgm(band))
+        out = tmp_path / "out.pgm"
+        raw = tmp_path / "raw.npy"
+        out.write_bytes(b"old")
+        raw.write_bytes(b"old")
+        real_replace = os.replace
+        calls = []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("rename refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr("gstk.cli.os.replace", replace)
+        code = main(["convolve", "--in", str(tmp_path / "in.pgm"),
+                     "--out", str(out), "--raw-out", str(raw)])
+        assert code == 2
+        assert calls == [str(out), str(raw)]
+        expected = stretch(
+            convolve(band, smoothing_template()), StretchMode.ABS_LINEAR, 2.0, 98.0
+        )
+        assert out.read_bytes() == write_pgm(expected)
+        assert raw.read_bytes() == b"old"
+        assert not list(tmp_path.glob("*.tmp"))
+
 
 class TestOif:
     def test_report_matches_library(self, tmp_path):
         image, _ = _write_scene(tmp_path, forced_oif_spec())
         out = tmp_path / "oif.json"
         assert main(["oif", "--in", str(tmp_path / "scene.bsq"), "--out", str(out)]) == 0
-        assert json.loads(out.read_text()) == oif_report_dict(image)
+        expected = json.dumps(oif_report_dict(image), indent=2) + "\n"
+        assert out.read_bytes() == expected.encode("ascii")
 
     def test_top_triple_on_stdout(self, tmp_path, capsys):
         _write_scene(tmp_path, forced_oif_spec())
@@ -410,6 +456,9 @@ class TestPipeline:
         assert "top triple:" in stdout
         doc = json.loads((out / "confusion.json").read_text())
         assert doc["overall_accuracy"] >= 0.99
+        image, _ = synth_scene(separable_scene_spec())
+        expected = json.dumps(oif_report_dict(image), indent=2) + "\n"
+        assert (out / "oif.json").read_bytes() == expected.encode("ascii")
 
     def test_deterministic_across_runs(self, tmp_path):
         (tmp_path / "spec.json").write_text(scene_spec_to_json(separable_scene_spec()))

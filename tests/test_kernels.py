@@ -180,6 +180,13 @@ class TestKernelType:
             Kernel(((1 << 15,),), anchor=(0, 0))
         Kernel((((1 << 15) - 1,),), anchor=(0, 0))
 
+    def test_rejects_oversized_grid(self):
+        Kernel(((0,) * 255,) * 255, anchor=(0, 0))
+        with pytest.raises(DomainError, match="more than 255"):
+            Kernel(((0,) * 256,), anchor=(0, 0))
+        with pytest.raises(DomainError, match="more than 255"):
+            Kernel(((0,),) * 256, anchor=(0, 0))
+
     def test_rejects_out_of_grid_anchor(self):
         with pytest.raises(DomainError):
             Kernel(((1, 2),), anchor=(0, 2))
@@ -246,6 +253,16 @@ class TestTextFormat:
             parse_kernel("anchor 5 0\n1 2 3\n")  # out of bounds
         with pytest.raises(FileFormatError, match="anchor"):
             parse_kernel("anchor 0\n1 2 3\n")
+
+    def test_parse_side_budget_is_domain_error(self):
+        assert parse_kernel("1 " * 255).cols == 255
+        assert parse_kernel("1\n" * 255).rows == 255
+        # Raised while reading, before a bad token later in the text and
+        # without being turned into a FileFormatError.
+        for text in ("1 " * 256 + "x\n", "1\n" * 256 + "x\n"):
+            with pytest.raises(DomainError, match="more than 255") as exc:
+                parse_kernel(text)
+            assert not isinstance(exc.value, FileFormatError)
 
     def test_parse_rejects_float_tokens(self):
         with pytest.raises(FileFormatError):
