@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .raster import (
     ResponseField,
     StretchMode,
     stretch,
+    _frozen,
     _readonly,
 )
 
@@ -39,7 +42,13 @@ from .raster import (
 
 @dataclass(frozen=True)
 class BandStats:
-    """Population statistics of one band, computed in double precision."""
+    """Population statistics of one band.
+
+    ``mean`` and ``stddev`` come from exact integer sums of the samples
+    and their squares, each rounded to float64 once (``stddev`` is the
+    square root of the once-rounded variance), so they may differ in the
+    last digits from a two-pass float computation.
+    """
 
     mean: float
     stddev: float
@@ -47,11 +56,55 @@ class BandStats:
     maximum: int
 
 
-def _mean_std(values: np.ndarray) -> tuple[float, float]:
-    # Two-pass mean/variance for stability.
-    mean = float(values.mean())
-    var = float(((values - mean) ** 2).mean())
-    return mean, math.sqrt(var)
+# Moments are summed exactly. Samples are non-negative integers, so every
+# partial sum of samples or of their products is an integer no larger than
+# the full sum. A float64 block whose product sums stay below 2^53 is
+# therefore exact in any BLAS reduction order, block size or thread count,
+# and the int64 accumulation of the blocks is exact while N * dtype_max^2
+# stays below 2^63 (for u16, about 2^31 pixels; checked).
+_BLOCK_SAMPLES = 2**18  # float64 samples per block: 2 MiB
+
+
+class _Moments(NamedTuple):
+    """Exact sums over N pixels: sum of x per band, and Gram sum of x_i x_j."""
+
+    n: int
+    sums: list[int]
+    gram: list[list[int]]
+
+    def mean(self, i: int) -> float:
+        return self.sums[i] / self.n
+
+    def scatter(self, i: int, j: int) -> int:
+        """N^2 times the population covariance of bands i and j."""
+        return self.n * self.gram[i][j] - self.sums[i] * self.sums[j]
+
+    def stddev(self, i: int) -> float:
+        return math.sqrt(self.scatter(i, i) / self.n**2)
+
+
+def _moments(planes: Sequence[np.ndarray]) -> _Moments:
+    """Exact moments of equally sized, non-empty u8 or u16 sample arrays."""
+    n = planes[0].size
+    top = int(np.iinfo(planes[0].dtype).max)
+    if n * top**2 >= 2**63:
+        raise DomainError(
+            f"{n} pixels of {planes[0].dtype} samples exceed the exact moment "
+            "budget (pixels * max^2 < 2^63)"
+        )
+    block = min(max(1, _BLOCK_SAMPLES // len(planes)), (2**53 - 1) // top**2, n)
+    flats = [p.reshape(-1) for p in planes]
+    buf = np.empty((len(planes), block), dtype=np.float64)
+    sums = np.zeros(len(planes), dtype=np.int64)
+    gram = np.zeros((len(planes), len(planes)), dtype=np.int64)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        x = buf[:, : stop - start]
+        for row, flat in zip(x, flats):
+            row[...] = flat[start:stop]
+        sums += x.sum(axis=1).astype(np.int64)
+        gram += (x @ x.T).astype(np.int64)
+    return _Moments(n, sums.tolist(), gram.tolist())
 
 
 def _require_nonempty(raster: Band | MultibandImage) -> None:
@@ -61,11 +114,10 @@ def _require_nonempty(raster: Band | MultibandImage) -> None:
 
 def band_stats(band: Band) -> BandStats:
     _require_nonempty(band)
-    values = band.samples.astype(np.float64)
-    mean, std = _mean_std(values)
+    moments = _moments([band.samples])
     return BandStats(
-        mean=mean,
-        stddev=std,
+        mean=moments.mean(0),
+        stddev=moments.stddev(0),
         minimum=int(band.samples.min()),
         maximum=int(band.samples.max()),
     )
@@ -83,6 +135,10 @@ class CorrelationMatrix:
     the correlations were normalized by; it equals
     ``band_stats(band).stddev`` exactly. It is empty when the matrix was
     built directly rather than by ``correlation``.
+
+    Both come from exact integer sums over all pixels: each variance and
+    covariance is rounded to float64 once, so values may differ in the
+    last digits from a two-pass float computation.
     """
 
     r: np.ndarray
@@ -101,25 +157,28 @@ class CorrelationMatrix:
 
 
 def correlation(image: MultibandImage) -> CorrelationMatrix:
-    """Pairwise Pearson correlation matrix of an image's bands."""
+    """Pairwise Pearson correlation matrix of an image's bands.
+
+    ``r_ij = cov_ij / (s_i * s_j)``, with the covariance and each variance
+    computed as ``(N * sum(x_i x_j) - sum(x_i) * sum(x_j)) / N^2`` in
+    integers and rounded once. A band is zero-variance exactly when
+    ``N * sum(x^2) == sum(x)^2``.
+    """
     n = image.n_bands
     if n < 2:
         raise DomainError("correlation needs at least 2 bands")
-    # Each band's float64 copy becomes its deviations in place.
-    devs = []
-    for b in image.bands:
-        plane = b.samples.astype(np.float64).ravel()
-        plane -= float(plane.mean())
-        devs.append(plane)
-    stds = tuple(math.sqrt(float((d * d).mean())) for d in devs)
-    flagged = tuple(i for i, s in enumerate(stds) if s == 0.0)
+    _require_nonempty(image)
+    moments = _moments([b.samples for b in image.bands])
+    stds = tuple(moments.stddev(i) for i in range(n))
+    flagged = tuple(i for i in range(n) if moments.scatter(i, i) == 0)
+    n2 = moments.n**2
     r = np.full((n, n), np.nan, dtype=np.float64)
     np.fill_diagonal(r, 1.0)
     for i in range(n):
         for j in range(i + 1, n):
-            if stds[i] == 0.0 or stds[j] == 0.0:
+            if i in flagged or j in flagged:
                 continue
-            cov = float((devs[i] * devs[j]).mean())
+            cov = moments.scatter(i, j) / n2
             r[i, j] = r[j, i] = cov / (stds[i] * stds[j])
     return CorrelationMatrix(r, flagged, stds)
 
@@ -410,7 +469,7 @@ def classification_to_band(cmap: ClassificationMap) -> Band:
     if top > 65535:
         raise DomainError(f"label {top} does not fit a u16 band")
     dtype = np.uint8 if top <= 255 else np.uint16
-    return Band(cmap.labels.astype(dtype))
+    return Band(_frozen(cmap.labels.astype(dtype)))
 
 
 def fit_classes(
@@ -422,7 +481,9 @@ def fit_classes(
     """Train one box per ROI.
 
     ``minmax`` uses per-band ROI extrema; ``mean_sigma`` uses mean +- k
-    population stddevs, clamped to the dtype range.
+    population stddevs, clamped to the dtype range, with the mean and
+    stddev taken from exact integer sums of the ROI samples as in
+    ``band_stats``.
     """
     mode = FitMode(mode)
     if mode == FitMode.MEAN_SIGMA and k < 0:
@@ -446,7 +507,8 @@ def fit_classes(
             if mode == FitMode.MINMAX:
                 bounds.append((float(values.min()), float(values.max())))
             else:
-                mean, std = _mean_std(values.astype(np.float64))
+                moments = _moments([values])
+                mean, std = moments.mean(0), moments.stddev(0)
                 lo = max(0.0, mean - k * std)
                 hi = min(float(band.dtype_max), mean + k * std)
                 bounds.append((lo, hi))
@@ -598,6 +660,14 @@ class ComparisonReport:
         }
 
 
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
+    # Two-pass float mean and variance: int32 magnitudes squared do not fit
+    # below 2^53, so the exact moments of band statistics do not apply.
+    mean = float(values.mean())
+    var = float(((values - mean) ** 2).mean())
+    return mean, math.sqrt(var)
+
+
 def _summarize_field(mag: np.ndarray, threshold: float) -> FieldSummary:
     mean, std = _mean_std(mag)
     density = float((mag > threshold).mean())
@@ -683,7 +753,7 @@ def features_for_classification(
     if kind == FeatureKind.SMOOTHED:
         return MultibandImage(tuple(smoothed), tuple(names))
     if image.dtype == "u16":
-        smoothed = [Band(b.samples.astype(np.uint16)) for b in smoothed]
+        smoothed = [Band(_frozen(b.samples.astype(np.uint16))) for b in smoothed]
     raw_names = [image.name_of(i) for i in range(image.n_bands)]
     return MultibandImage(
         tuple(image.bands) + tuple(smoothed), tuple(raw_names + names)

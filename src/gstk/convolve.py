@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import Kernel
-from .raster import Band, MultibandImage, ResponseField
+from .raster import Band, MultibandImage, ResponseField, _frozen
 
 _INT32_MAX = 2**31 - 1
 
@@ -107,7 +107,7 @@ def convolve(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda t: run_tile(*t), tiles))
-    return ResponseField(out)
+    return ResponseField(_frozen(out))
 
 
 def convolve_image(

@@ -24,11 +24,25 @@ DTYPE_MAX = {"u8": 255, "u16": 65535}
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
+    """A read-only, C-contiguous array with ``arr``'s samples.
+
+    A writable array is copied, so a caller cannot change it afterwards;
+    a read-only contiguous one is kept as it is.
+    """
     out = np.ascontiguousarray(arr)
     if out is arr and arr.flags.writeable:
         out = arr.copy()
     out.setflags(write=False)
     return out
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark an array the library just allocated read-only and return it.
+
+    ``_readonly`` then wraps it without a copy.
+    """
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -181,7 +195,7 @@ def read_pgm(data: bytes) -> Band:
         raise FileFormatError(f"PGM maxval {maxval} out of range 1..65535")
     bytes_per = 1 if maxval <= 255 else 2
     expected = width * height * bytes_per
-    payload = data[pos:]
+    payload = memoryview(data)[pos:]
     if len(payload) < expected:
         raise FileFormatError(
             f"truncated PGM payload: expected {expected} bytes, got {len(payload)}"
@@ -193,7 +207,7 @@ def read_pgm(data: bytes) -> Band:
     if bytes_per == 1:
         arr = np.frombuffer(payload, dtype=np.uint8)
     else:
-        arr = np.frombuffer(payload, dtype=">u2").astype(np.uint16)
+        arr = _frozen(np.frombuffer(payload, dtype=">u2").astype(np.uint16))
     return Band(arr.reshape(height, width))
 
 
@@ -262,7 +276,8 @@ def read_bsq(header_text: str, payload: bytes) -> MultibandImage:
             f"({width}x{height}x{n_bands}, {dtype})"
         )
     np_dtype = np.uint8 if dtype == "u8" else np.dtype("<u2")
-    flat = np.frombuffer(payload, dtype=np_dtype).astype(NUMPY_DTYPES[dtype])
+    # Each band is a read-only view of this one buffer.
+    flat = _frozen(np.frombuffer(payload, dtype=np_dtype).astype(NUMPY_DTYPES[dtype]))
     bands = tuple(
         Band(flat[b * width * height : (b + 1) * width * height].reshape(height, width))
         for b in range(n_bands)
@@ -343,4 +358,4 @@ def stretch(
     values += 0.5
     np.floor(values, out=values)
     np.minimum(values, 255.0, out=values)
-    return Band(values.astype(np.uint8))
+    return Band(_frozen(values.astype(np.uint8)))

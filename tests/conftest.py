@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,25 @@ def ref_gaussian_numpy(seed: int, indices) -> np.ndarray:
     u2 = np.array([ref_uniform(seed, 2 * i + 1) for i in flat], dtype=np.float64)
     g = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
     return g.reshape(np.shape(indices))
+
+
+def ref_moments(planes) -> tuple[int, list[int], list[list[int]]]:
+    """Pixel count, per-plane sums and all pairwise product sums, in Python ints."""
+    values = [p.ravel().tolist() for p in planes]
+    sums = [sum(v) for v in values]
+    gram = [[sum(a * b for a, b in zip(vi, vj)) for vj in values] for vi in values]
+    return len(values[0]), sums, gram
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes traced by ``tracemalloc`` while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ from gstk import (
     rois_from_labels,
     synth_scene,
 )
+import gstk.analysis as analysis
 from gstk.analysis import classification_to_band
-from conftest import forced_oif_spec, random_band, random_image
+from conftest import forced_oif_spec, random_band, random_image, ref_moments, traced_peak
 
 
 def _image(*planes, dtype=np.uint8):
@@ -62,6 +63,15 @@ class TestBandStats:
             assert s.stddev == pytest.approx(math.sqrt(var), rel=1e-9, abs=1e-12)
             assert s.minimum == min(values)
             assert s.maximum == max(values)
+
+    def test_equals_exact_integer_moments(self, rng):
+        # 600x500 pixels take two blocks, the second partial.
+        for dtype in ("u8", "u16"):
+            band = random_band(rng, 600, 500, dtype)
+            n, (total,), ((squares,),) = ref_moments([band.samples])
+            s = band_stats(band)
+            assert s.mean == total / n
+            assert s.stddev == math.sqrt((n * squares - total * total) / (n * n))
 
     def test_empty_band(self):
         with pytest.raises(DomainError):
@@ -93,7 +103,41 @@ class TestCorrelation:
                 cov = math.fsum((a - mi) * (b - mj) for a, b in zip(xi, xj)) / xi.size
                 si = math.sqrt(math.fsum((a - mi) ** 2 for a in xi) / xi.size)
                 sj = math.sqrt(math.fsum((b - mj) ** 2 for b in xj) / xj.size)
-                assert corr.r[i, j] == pytest.approx(cov / (si * sj), rel=1e-9)
+                assert corr.r[i, j] == pytest.approx(cov / (si * sj), rel=1e-12)
+
+    def test_hadamard_bands_exactly_uncorrelated(self):
+        corr = correlation(MultibandImage(tuple(Band(p) for p in _hadamard_bands(4))))
+        assert (corr.r[~np.eye(4, dtype=bool)] == 0.0).all()
+
+    @pytest.mark.parametrize("block_samples", [21, 2])
+    def test_blocks_do_not_change_result(self, rng, monkeypatch, block_samples):
+        img = random_image(rng, 3, 10, 10, "u16")
+        planes = [b.samples for b in img.bands]
+        whole = analysis._moments(planes), correlation(img)
+        # 3 bands: blocks of 7 pixels, the last holding 2; or of 1 pixel.
+        monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", block_samples)
+        blocked = analysis._moments(planes), correlation(img)
+        assert whole[0] == blocked[0] == ref_moments(planes)
+        assert np.array_equal(whole[1].r, blocked[1].r)
+        assert whole[1].stddev == blocked[1].stddev
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_moment_sums_refused_past_int64(self, dtype):
+        top = int(np.iinfo(dtype).max)
+        limit = (2**63 - 1) // top**2  # most pixels whose sums fit in int64
+        # A zero-stride view: one pixel over the bound, no memory behind it.
+        plane = np.broadcast_to(dtype(0), (limit + 1,))
+        with pytest.raises(DomainError, match="exact moment budget"):
+            analysis._moments([plane])
+
+    def test_peak_memory_is_one_block(self):
+        # The float64 block buffer is 2 MiB whatever the band count; one
+        # float64 plane per band would be 2 MiB per band here.
+        rng = np.random.default_rng(32)
+        for n_bands in (4, 32):
+            image = random_image(rng, n_bands, 512, 512, "u16")
+            _, peak = traced_peak(correlation, image)
+            assert peak < 3 * 2**20, f"{n_bands} bands: peak {peak} B"
 
     def test_matrix_shape_properties(self, rng):
         img = random_image(rng, 4, 6, 6)
@@ -120,6 +164,10 @@ class TestCorrelation:
     def test_single_band_rejected(self, rng):
         with pytest.raises(DomainError):
             correlation(MultibandImage((random_band(rng, 3, 3),)))
+
+    def test_empty_image_rejected(self):
+        with pytest.raises(DomainError, match="empty"):
+            correlation(_image(np.zeros((0, 3)), np.zeros((0, 3))))
 
 
 def _hadamard_bands(n_bands):
@@ -412,8 +460,7 @@ class TestFitClasses:
         sigma = math.sqrt(200.0 / 3.0)  # population stddev of {10,20,30}
         assert sigma == pytest.approx(8.164965809277)
         lo, hi = spec.bounds[0]
-        assert lo == pytest.approx(20 - 2 * sigma, rel=1e-12)
-        assert hi == pytest.approx(20 + 2 * sigma, rel=1e-12)
+        assert (lo, hi) == (20 - 2 * sigma, 20 + 2 * sigma)
 
     def test_mean_sigma_clamped_to_dtype(self):
         img = _image([[2, 250]])
@@ -569,6 +616,12 @@ class TestClassificationToBand:
         )
         assert band.dtype == "u16"
         assert band.samples[0, 0] == 300
+
+    def test_result_is_not_copied(self):
+        cmap = ClassificationMap(np.ones((512, 512), dtype=np.int32))
+        band, peak = traced_peak(classification_to_band, cmap)
+        assert band.samples.nbytes == 512 * 512
+        assert peak < 1.5 * band.samples.nbytes
 
     def test_too_large_rejected(self):
         cmap = ClassificationMap(np.array([[70000]], dtype=np.int32))

@@ -12,7 +12,7 @@ from gstk import (
     laplacian_template,
     smoothing_template,
 )
-from conftest import oracle_convolve, random_band
+from conftest import oracle_convolve, random_band, traced_peak
 
 ALL_BOUNDARIES = [m.value for m in BoundaryMode]
 
@@ -162,6 +162,17 @@ class TestDeterminism:
         band = random_band(rng, 4, 4)
         out = _engine(band, laplacian_template(), "zero", workers=8, tile_rows=256)
         assert np.array_equal(out, _oracle(band, laplacian_template(), "zero"))
+
+
+class TestMemory:
+    def test_result_is_not_copied(self, rng):
+        # The padded int32 input and the int32 output are live together; a
+        # copy of the output on wrapping would make three frames.
+        band = random_band(rng, 512, 512, "u16")
+        field, peak = traced_peak(
+            lambda: convolve(band, smoothing_template(), tile_rows=16)
+        )
+        assert peak < 2.5 * field.samples.nbytes
 
 
 class TestValidation:

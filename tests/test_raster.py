@@ -18,7 +18,7 @@ from gstk import (
     write_bsq,
     write_pgm,
 )
-from conftest import random_band, random_image
+from conftest import random_band, random_image, traced_peak
 
 
 class TestBand:
@@ -53,6 +53,11 @@ class TestBand:
         b = Band(src)
         src[0, 0] = 9
         assert b.samples[0, 0] == 0
+
+    def test_keeps_read_only_array(self):
+        src = np.zeros((2, 2), dtype=np.uint8)
+        src.setflags(write=False)
+        assert Band(src).samples is src
 
 
 class TestMultibandImage:
@@ -96,6 +101,12 @@ class TestResponseField:
         with pytest.raises(DomainError):
             ResponseField(np.zeros(4, dtype=np.int32))
 
+    def test_does_not_alias_caller_array(self):
+        src = np.zeros((2, 2), dtype=np.int32)
+        field = ResponseField(src)
+        src[0, 0] = 9
+        assert field.samples[0, 0] == 0
+
 
 class TestPgm:
     def test_minimal_u8_file(self):
@@ -110,6 +121,12 @@ class TestPgm:
         assert band.dtype == "u16"
         assert band.samples.tolist() == [[1, 258], [515, 65535]]
         assert write_pgm(band) == b"P5\n2 2\n65535\n" + payload
+
+    def test_u16_samples_converted_once(self, rng):
+        band = random_band(rng, 512, 512, "u16")
+        read, peak = traced_peak(read_pgm, write_pgm(band))
+        assert np.array_equal(read.samples, band.samples)
+        assert peak < 1.5 * band.samples.nbytes
 
     def test_canonical_header(self):
         band = Band(np.zeros((3, 2), dtype=np.uint8))
@@ -206,6 +223,13 @@ class TestBsq:
                 assert back.n_bands == img.n_bands
                 for a, b in zip(back.bands, img.bands):
                     assert np.array_equal(a.samples, b.samples)
+
+    def test_payload_converted_once(self, rng):
+        image = random_image(rng, 4, 256, 256, "u16")
+        header, payload = write_bsq(image)
+        read, peak = traced_peak(read_bsq, header, payload)
+        assert write_bsq(read) == (header, payload)
+        assert peak < 1.5 * len(payload)
 
     def test_single_band_bsq_pgm_agree(self, rng):
         band = random_band(rng, 5, 7, "u16")
