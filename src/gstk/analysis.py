@@ -609,10 +609,11 @@ def accuracy(
 # ---------------------------------------------------------------------------
 # Operator comparison
 
-# Magnitude histogram bin edges double per bin: bin 0 holds magnitude 0,
-# bin k holds magnitudes in [2^(k-1), 2^k). 31 doubling bins cover int32.
+# Magnitude histogram bins double in width: bin 0 holds magnitude 0, bin k
+# holds magnitudes in [2^(k-1), 2^k), which is the binary exponent that
+# np.frexp returns. 31 doubling bins cover int32; only |-2^31| lands in an
+# extra bin 32.
 HISTOGRAM_BINS = 32
-_HISTOGRAM_EDGES = np.array([float(2**k) for k in range(HISTOGRAM_BINS)])
 
 
 @dataclass(frozen=True)
@@ -671,8 +672,7 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
 def _summarize_field(mag: np.ndarray, threshold: float) -> FieldSummary:
     mean, std = _mean_std(mag)
     density = float((mag > threshold).mean())
-    bins = np.digitize(mag, _HISTOGRAM_EDGES)
-    hist = np.bincount(bins.ravel(), minlength=HISTOGRAM_BINS)
+    hist = np.bincount(np.frexp(mag)[1].ravel(), minlength=HISTOGRAM_BINS)
     return FieldSummary(mean, std, density, tuple(int(c) for c in hist))
 
 
@@ -731,14 +731,12 @@ def features_for_classification(
     kind: FeatureKind = FeatureKind.SMOOTHED,
     kernel: Kernel | None = None,
     boundary: BoundaryMode = BoundaryMode.REPLICATE,
-    lo_pct: float = 2.0,
-    hi_pct: float = 98.0,
 ) -> MultibandImage:
     """Build the feature image the classifier operates on.
 
     ``smoothed`` convolves each band (default kernel: the 5x5 smoothing
-    template) and stretches the response magnitudes to u8 with
-    percentile clipping; ``both`` appends those to the raw bands.
+    template) and stretches the response magnitudes to u8, clipped at
+    their 2nd and 98th percentiles; ``both`` appends those to the raw bands.
     """
     kind = FeatureKind(kind)
     if kind == FeatureKind.RAW:
@@ -748,7 +746,7 @@ def features_for_classification(
     smoothed = []
     for band in image.bands:
         resp = convolve(band, kernel, boundary)
-        smoothed.append(stretch(resp, StretchMode.ABS_LINEAR, lo_pct, hi_pct))
+        smoothed.append(stretch(resp, StretchMode.ABS_LINEAR))
     names = [image.name_of(i) + " smoothed" for i in range(image.n_bands)]
     if kind == FeatureKind.SMOOTHED:
         return MultibandImage(tuple(smoothed), tuple(names))

@@ -10,7 +10,8 @@ not replaced atomically: if a later rename fails, the files already
 renamed stay replaced.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or file-format error,
-3 domain error (invalid values, zero-variance bands, and so on).
+3 domain error (invalid values, zero-variance bands, two outputs that
+resolve to one file, and so on).
 """
 
 from __future__ import annotations
@@ -90,6 +91,17 @@ _percentile = _checked(
 )
 
 
+def _read_text(path: str, encoding: str) -> str:
+    """The whole text file; bytes that do not decode are a format error."""
+    try:
+        with open(path, "r", encoding=encoding) as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(
+            f"{path}: not {encoding} text: byte {exc.start} does not decode"
+        ) from None
+
+
 def _kernel_from_choice(choice: str) -> Kernel:
     """Resolve {smooth5 | laplacian3 | quadrant | file:<path>}."""
     if choice == "smooth5":
@@ -99,9 +111,7 @@ def _kernel_from_choice(choice: str) -> Kernel:
     if choice == "quadrant":
         return derive_quadrant_template()
     if choice.startswith("file:"):
-        path = choice[len("file:") :]
-        with open(path, "r", encoding="ascii") as f:
-            return parse_kernel(f.read())
+        return parse_kernel(_read_text(choice[len("file:") :], "ascii"))
     raise DomainError(
         f"unknown kernel {choice!r}: expected smooth5, laplacian3, quadrant, "
         "or file:<path>"
@@ -113,21 +123,29 @@ def _kernel_from_choice(choice: str) -> Kernel:
 
 
 class _Stage:
-    """Collects output files, then commits each one via temp + rename."""
+    """Collects output files, then commits each one via temp + rename.
+
+    Two outputs that resolve to one file are refused when the second is
+    added, before anything is written; otherwise the later rename would
+    silently replace the earlier output.
+    """
 
     def __init__(self) -> None:
-        self._items: list[tuple[str, bytes]] = []
+        self._items: dict[str, tuple[str, bytes]] = {}
 
     def add_bytes(self, path: str, data: bytes) -> None:
-        self._items.append((path, data))
+        key = os.path.realpath(path)
+        if key in self._items:
+            raise DomainError(f"two outputs would be written to {path}")
+        self._items[key] = (path, data)
 
     def add_text(self, path: str, text: str) -> None:
-        self._items.append((path, text.encode("utf-8")))
+        self.add_bytes(path, text.encode("utf-8"))
 
     def commit(self) -> None:
         temps: list[tuple[str, str]] = []
         try:
-            for path, data in self._items:
+            for path, data in self._items.values():
                 directory = os.path.dirname(os.path.abspath(path))
                 fd, tmp = tempfile.mkstemp(
                     dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
@@ -156,8 +174,7 @@ def _load_image(path: str) -> MultibandImage:
         with open(path, "rb") as f:
             return MultibandImage((read_pgm(f.read()),))
     header_path, payload_path = bsq_paths(path)
-    with open(header_path, "r", encoding="ascii") as f:
-        header = f.read()
+    header = _read_text(header_path, "ascii")
     with open(payload_path, "rb") as f:
         payload = f.read()
     return read_bsq(header, payload)
@@ -187,7 +204,9 @@ def _npy_bytes(array: np.ndarray) -> bytes:
 def _load_field(path: str) -> ResponseField:
     with open(path, "rb") as f:
         try:
-            array = np.load(f, allow_pickle=False)
+            # Only the .npy format: np.load would also open .npz archives
+            # and pickles, which are not response fields.
+            array = np.lib.format.read_array(f, allow_pickle=False)
         except ValueError as exc:
             raise FileFormatError(f"{path}: not a valid array file: {exc}") from None
     if array.ndim == 3:
@@ -210,8 +229,8 @@ def _load_field(path: str) -> ResponseField:
 def _load_rois(path: str, image: MultibandImage) -> list[analysis.Roi]:
     """ROI JSON by extension, otherwise a PGM label raster."""
     if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as f:
-            return analysis.rois_from_json(f.read(), (image.height, image.width))
+        text = _read_text(path, "utf-8")
+        return analysis.rois_from_json(text, (image.height, image.width))
     with open(path, "rb") as f:
         band = read_pgm(f.read())
     return analysis.rois_from_labels(band.samples)
@@ -251,9 +270,7 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     image = _load_image(getattr(args, "in"))
     kernel = _kernel_from_choice(args.kernel)
     boundary = BoundaryMode(args.boundary)
-    fields = convolve_image(
-        image, kernel, boundary, workers=args.workers, tile_rows=args.tile_rows
-    )
+    fields = convolve_image(image, kernel, boundary, workers=args.workers)
     mode = StretchMode(args.stretch)
     stretched = [stretch(f, mode, args.lo_pct, args.hi_pct) for f in fields]
     names = tuple(image.name_of(i) for i in range(image.n_bands))
@@ -324,8 +341,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    with open(args.spec, "r", encoding="utf-8") as f:
-        spec = synth.scene_spec_from_json(f.read())
+    spec = synth.scene_spec_from_json(_read_text(args.spec, "utf-8"))
     image, truth = synth.synth_scene(spec)
     stage = _Stage()
     _stage_image(stage, args.out_image, image)
@@ -341,8 +357,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    with open(args.spec, "r", encoding="utf-8") as f:
-        spec = synth.scene_spec_from_json(f.read())
+    spec = synth.scene_spec_from_json(_read_text(args.spec, "utf-8"))
     kernel = _kernel_from_choice(args.kernel)
     boundary = BoundaryMode(args.boundary)
 
@@ -468,12 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers", type=_positive_int, default=1, help="worker threads (default: 1)"
-    )
-    p.add_argument(
-        "--tile-rows",
-        type=_positive_int,
-        default=256,
-        help="rows per parallel tile (default: 256)",
     )
     p.set_defaults(func=cmd_convolve)
 

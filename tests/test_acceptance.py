@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import time
 from contextlib import contextmanager
 from itertools import combinations
@@ -177,7 +178,10 @@ def test_criterion_3_annihilation():
         info["note"] = f"{elapsed * 1e3:.1f} ms"
 
 
-def test_criterion_4_convolution_oracle_equivalence():
+def test_criterion_4_convolution_oracle_equivalence(monkeypatch):
+    # A one-sample tile budget cuts one-row tiles, so every case of two or
+    # more rows spans several tiles.
+    monkeypatch.setattr(sys.modules["gstk.convolve"], "_TILE_SAMPLES", 1)
     with criterion(4, "convolution equals quadruple-loop oracle") as info:
         start = time.perf_counter()
         rng = np.random.default_rng(401)
@@ -204,7 +208,7 @@ def test_criterion_4_convolution_oracle_equivalence():
             )
             for workers in (1, 2, 8):
                 got = convolve(
-                    band, kernel, BoundaryMode(boundary), workers=workers, tile_rows=8
+                    band, kernel, BoundaryMode(boundary), workers=workers
                 ).samples
                 assert got.dtype == np.int32
                 assert np.array_equal(got, expected), (case, workers, boundary)

@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gstk
 from gstk import (
@@ -493,8 +496,8 @@ class TestExitCodes:
         [
             (["convolve", "--in", "i.pgm", "--out", "o.pgm", "--workers", "0"],
              "argument --workers: must be >= 1, got 0"),
-            (["convolve", "--in", "i.pgm", "--out", "o.pgm", "--tile-rows", "x"],
-             "argument --tile-rows: not an integer: 'x'"),
+            (["convolve", "--in", "i.pgm", "--out", "o.pgm", "--workers", "x"],
+             "argument --workers: not an integer: 'x'"),
             (["convolve", "--in", "i.pgm", "--out", "o.pgm", "--lo-pct", "101"],
              "argument --lo-pct: percentile must be in [0, 100], got 101.0"),
             (["classify", "--in", "i.pgm", "--rois", "r.json", "--out-map", "m.pgm",
@@ -538,3 +541,120 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "COMMAND" in proc.stdout
+
+
+def _fill(argv, **values):
+    """``argv`` with each ``{key}`` placeholder replaced by its value."""
+    for key, value in values.items():
+        argv = [a.replace("{" + key + "}", value) for a in argv]
+    return argv
+
+
+def _tiny_pgm(directory):
+    path = Path(directory) / "in.pgm"
+    path.write_bytes(write_pgm(Band(np.arange(16, dtype=np.uint8).reshape(4, 4))))
+    return str(path)
+
+
+class TestOutputCollisions:
+    @pytest.mark.parametrize(
+        "argv, clash",
+        [
+            (["convolve", "--in", "{in}", "--out", "{d}/o.pgm",
+              "--raw-out", "{d}/./o.pgm"], "o.pgm"),
+            (["convolve", "--in", "{in}", "--out", "{d}/o.bsq",
+              "--raw-out", "{d}/o.hdr"], "o.hdr"),
+            (["classify", "--in", "{in}", "--rois", "{in}", "--truth", "{in}",
+              "--features", "raw", "--out-map", "{d}/m.pgm",
+              "--out-confusion", "{d}/m.pgm"], "m.pgm"),
+        ],
+        ids=["raw-out-on-pgm", "raw-out-on-bsq-header", "confusion-on-map"],
+    )
+    def test_two_outputs_one_file_is_domain_error(self, tmp_path, capsys, argv, clash):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = _fill(argv, d=str(out), **{"in": _tiny_pgm(tmp_path)})
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "domain error" in err and clash in err
+        assert list(out.iterdir()) == []
+
+
+class TestMalformedInputs:
+    """Undecodable or foreign input files are format errors naming the file."""
+
+    @pytest.mark.parametrize(
+        "name, data, argv",
+        [
+            ("f.npz", None, ["compare", "--a", "{f}", "--b", "{f}",
+                             "--threshold", "1", "--out", "{d}/c.json"]),
+            ("e.npy", b"", ["compare", "--a", "{f}", "--b", "{f}",
+                            "--threshold", "1", "--out", "{d}/c.json"]),
+            ("s.hdr", b"magic=GSTK1\nwidth=4\xe9\n",
+             ["convolve", "--in", "{f}", "--out", "{d}/o.pgm"]),
+            ("k.txt", b"0 1 0\n1 \xff 1\n0 1 0\n",
+             ["derive", "--kernel", "file:{f}", "--out", "{d}/k.txt"]),
+            ("s.json", b'{"width": "\xff"}',
+             ["synth", "--spec", "{f}", "--out-image", "{d}/i.pgm",
+              "--out-truth", "{d}/t.pgm"]),
+            ("s.json", b'{"width": "\xff"}',
+             ["pipeline", "--spec", "{f}", "--out-dir", "{d}"]),
+            ("r.json", b'{"classes": "\xc3"}',
+             ["classify", "--in", "{in}", "--rois", "{f}", "--out-map", "{d}/m.pgm"]),
+        ],
+        ids=["npz", "empty-npy", "bsq-header", "kernel", "synth-spec",
+             "pipeline-spec", "roi-json"],
+    )
+    def test_is_file_format_error(self, tmp_path, capsys, name, data, argv):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = tmp_path / name
+        if data is None:
+            np.savez(path, a=np.zeros((2, 2), dtype=np.int32))
+        else:
+            path.write_bytes(data)
+        argv = _fill(argv, f=str(path), d=str(out), **{"in": _tiny_pgm(tmp_path)})
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "file format error" in err and str(path) in err
+        assert list(out.iterdir()) == []
+
+
+# Per input kind: the fuzzed file, prefixes that carry the random tail past
+# the first format check, and a command that reads the file.
+_FUZZ = {
+    "pgm": ("fuzz.pgm", [b"", b"P5\n", b"P5\n4 4\n255\n"],
+            ["convolve", "--in", "{f}", "--out", "{d}/o.pgm"]),
+    "hdr": ("fuzz.hdr", [b"", b"magic=GSTK1\nwidth=2\nheight=2\nbands=1\n"],
+            ["convolve", "--in", "{f}", "--out", "{d}/o.hdr"]),
+    "kernel": ("fuzz.txt", [b"", b"anchor 0 0\n", b"1 2\n"],
+               ["convolve", "--in", "{in}", "--kernel", "file:{f}",
+                "--out", "{d}/o.pgm"]),
+    "rois": ("fuzz.json", [b"", b'{"classes": [{"name": "a", "runs": '],
+             ["classify", "--in", "{in}", "--rois", "{f}", "--out-map", "{d}/m.pgm"]),
+    "scene": ("fuzz.json", [b"", b'{"width": 4, "height": 4, "dtype": "u8", "classes": '],
+              ["synth", "--spec", "{f}", "--out-image", "{d}/i.pgm",
+               "--out-truth", "{d}/t.pgm"]),
+    "npy": ("fuzz.npy", [b"", b"\x93NUMPY\x01\x00", b"PK\x03\x04"],
+            ["compare", "--a", "{f}", "--b", "{f}", "--threshold", "1",
+             "--out", "{d}/c.json"]),
+}
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("kind", sorted(_FUZZ))
+    def test_random_bytes_exit_cleanly(self, kind):
+        name, prefixes, template = _FUZZ[kind]
+
+        @settings(max_examples=40, deadline=None, database=None)
+        @given(st.sampled_from(prefixes), st.binary(max_size=64))
+        def run(prefix, tail):
+            with tempfile.TemporaryDirectory() as d:
+                path = Path(d) / name
+                path.write_bytes(prefix + tail)
+                (Path(d) / "fuzz.bsq").write_bytes(tail[:4])  # BSQ payload
+                argv = _fill(template, f=str(path), d=d, **{"in": _tiny_pgm(d)})
+                assert main(argv) in (0, 2, 3)
+                assert not list(Path(d).glob("*.tmp"))
+
+        run()

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,14 @@ from gstk import (
 from conftest import oracle_convolve, random_band, traced_peak
 
 ALL_BOUNDARIES = [m.value for m in BoundaryMode]
+
+# The module, not the function that ``gstk.convolve`` resolves to.
+CONV = sys.modules["gstk.convolve"]
+
+
+def _set_tile_rows(monkeypatch, rows, width):
+    """Make ``convolve`` cut ``rows``-row tiles from bands ``width`` wide."""
+    monkeypatch.setattr(CONV, "_TILE_SAMPLES", rows * width)
 
 
 def _engine(band, kernel, boundary, **kw):
@@ -147,31 +157,53 @@ class TestOracleEquivalence:
 
 
 class TestDeterminism:
-    def test_workers_and_tiles_bit_identical(self, rng):
+    def test_workers_and_tiles_bit_identical(self, rng, monkeypatch):
         band = random_band(rng, 67, 31, "u16")
         k = smoothing_template()
         reference = _engine(band, k, "replicate")
         for workers in (1, 2, 8):
             for tile_rows in (1, 7, 64):
-                out = _engine(
-                    band, k, "replicate", workers=workers, tile_rows=tile_rows
-                )
+                _set_tile_rows(monkeypatch, tile_rows, band.width)
+                out = _engine(band, k, "replicate", workers=workers)
                 assert np.array_equal(out, reference), (workers, tile_rows)
 
     def test_more_workers_than_tiles(self, rng):
         band = random_band(rng, 4, 4)
-        out = _engine(band, laplacian_template(), "zero", workers=8, tile_rows=256)
+        out = _engine(band, laplacian_template(), "zero", workers=8)
         assert np.array_equal(out, _oracle(band, laplacian_template(), "zero"))
+
+    def test_threads_capped_at_tiles_and_cpus(self, rng, monkeypatch):
+        pools = []
+
+        class RecordingPool(CONV.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(CONV, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(CONV.os, "cpu_count", lambda: 2)
+        band = random_band(rng, 12, 5)
+        k = smoothing_template()
+        reference = _oracle(band, k, "replicate")
+        for tile_rows, n_tiles in ((12, 1), (7, 2), (1, 12)):
+            _set_tile_rows(monkeypatch, tile_rows, band.width)
+            for workers in (1, 2, 8):
+                pools.clear()
+                out = _engine(band, k, "replicate", workers=workers)
+                assert np.array_equal(out, reference), (tile_rows, workers)
+                expected = min(workers, n_tiles, 2)
+                assert pools == ([] if expected == 1 else [expected]), (
+                    tile_rows, workers, pools
+                )
 
 
 class TestMemory:
-    def test_result_is_not_copied(self, rng):
+    def test_result_is_not_copied(self, rng, monkeypatch):
         # The padded int32 input and the int32 output are live together; a
         # copy of the output on wrapping would make three frames.
         band = random_band(rng, 512, 512, "u16")
-        field, peak = traced_peak(
-            lambda: convolve(band, smoothing_template(), tile_rows=16)
-        )
+        _set_tile_rows(monkeypatch, 16, band.width)
+        field, peak = traced_peak(lambda: convolve(band, smoothing_template()))
         assert peak < 2.5 * field.samples.nbytes
 
 
@@ -181,12 +213,10 @@ class TestValidation:
         with pytest.raises(DomainError, match="empty"):
             convolve(band, smoothing_template())
 
-    def test_bad_workers_and_tiles(self, rng):
+    def test_bad_workers_rejected(self, rng):
         band = random_band(rng, 4, 4)
         with pytest.raises(DomainError):
             convolve(band, smoothing_template(), workers=0)
-        with pytest.raises(DomainError):
-            convolve(band, smoothing_template(), tile_rows=0)
 
     def test_overflow_precheck(self):
         # abs-sum 65534 times u16 max exceeds signed 32-bit range.
