@@ -611,8 +611,8 @@ def accuracy(
 
 # Magnitude histogram bins double in width: bin 0 holds magnitude 0, bin k
 # holds magnitudes in [2^(k-1), 2^k), which is the binary exponent that
-# np.frexp returns. 31 doubling bins cover int32; only |-2^31| lands in an
-# extra bin 32.
+# np.frexp returns. |-2^31| alone has exponent 32; it is folded into the
+# last bin, which therefore holds [2^30, 2^31].
 HISTOGRAM_BINS = 32
 
 
@@ -672,7 +672,9 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
 def _summarize_field(mag: np.ndarray, threshold: float) -> FieldSummary:
     mean, std = _mean_std(mag)
     density = float((mag > threshold).mean())
-    hist = np.bincount(np.frexp(mag)[1].ravel(), minlength=HISTOGRAM_BINS)
+    exponent = np.frexp(mag)[1]
+    np.minimum(exponent, HISTOGRAM_BINS - 1, out=exponent)
+    hist = np.bincount(exponent.ravel(), minlength=HISTOGRAM_BINS)
     return FieldSummary(mean, std, density, tuple(int(c) for c in hist))
 
 
@@ -738,21 +740,40 @@ def features_for_classification(
     template) and stretches the response magnitudes to u8, clipped at
     their 2nd and 98th percentiles; ``both`` appends those to the raw bands.
     """
+    return _features(image, kind, kernel, boundary)[0]
+
+
+def _features(
+    image: MultibandImage,
+    kind: FeatureKind,
+    kernel: Kernel | None,
+    boundary: BoundaryMode,
+) -> tuple[MultibandImage, ResponseField | None]:
+    """``features_for_classification`` plus the first band's response.
+
+    The response is None for ``raw`` features, which convolve nothing.
+    """
     kind = FeatureKind(kind)
     if kind == FeatureKind.RAW:
-        return image
+        return image, None
     if kernel is None:
         kernel = smoothing_template()
+    # Only the first response is kept: one int32 frame per band would
+    # otherwise be live at once.
+    first = None
     smoothed = []
     for band in image.bands:
         resp = convolve(band, kernel, boundary)
+        if first is None:
+            first = resp
         smoothed.append(stretch(resp, StretchMode.ABS_LINEAR))
     names = [image.name_of(i) + " smoothed" for i in range(image.n_bands)]
     if kind == FeatureKind.SMOOTHED:
-        return MultibandImage(tuple(smoothed), tuple(names))
+        return MultibandImage(tuple(smoothed), tuple(names)), first
     if image.dtype == "u16":
         smoothed = [Band(_frozen(b.samples.astype(np.uint16))) for b in smoothed]
     raw_names = [image.name_of(i) for i in range(image.n_bands)]
-    return MultibandImage(
+    features = MultibandImage(
         tuple(image.bands) + tuple(smoothed), tuple(raw_names + names)
     )
+    return features, first

@@ -362,7 +362,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     boundary = BoundaryMode(args.boundary)
 
     image, truth = synth.synth_scene(spec)
-    features = analysis.features_for_classification(
+    features, resp_chosen = analysis._features(
         image, analysis.FeatureKind(args.features), kernel, boundary
     )
 
@@ -377,7 +377,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     confusion = analysis.accuracy(cmap, truth, names)
 
     first = image.bands[0]
-    resp_chosen = convolve(first, kernel, boundary)
+    if resp_chosen is None:
+        resp_chosen = convolve(first, kernel, boundary)
     resp_baseline = convolve(first, laplacian_template(), boundary)
     compare = analysis.compare_responses(resp_chosen, resp_baseline, args.threshold)
 

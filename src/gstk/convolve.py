@@ -6,9 +6,12 @@ with no kernel flip. The shipped templates are symmetric under all square
 symmetries, so the convention is only observable with asymmetric kernels;
 it is pinned here and covered by tests.
 
-Accumulation is exact signed 32-bit integer arithmetic (a precheck
-guarantees no overflow), so results are bit-identical however the rows
-are tiled and for any worker count.
+Accumulation is exact integer arithmetic: a precheck bounds every partial
+sum by sum(|coeff|) * dtype_max and refuses kernels whose bound exceeds
+signed 32 bits. Each row tile accumulates in int16 where that bound fits
+(u8 input with the shipped templates) and in int32 otherwise, and the
+responses are int32. Results are bit-identical however the rows are tiled
+and for any worker count.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from .errors import DomainError
 from .kernels import Kernel
 from .raster import Band, MultibandImage, ResponseField, _frozen
 
+_INT16_MAX = 2**15 - 1
 _INT32_MAX = 2**31 - 1
 
-# Output samples per row tile (1 MiB of int32), so a tile's accumulator and
+# Output samples per row tile (1 MiB as int32), so a tile's accumulator and
 # input rows mostly stay in cache across the taps. smooth5 on a 2-vCPU Xeon
 # against fixed 256-row tiles: u16 2048^2 68 -> 59 ms on 1 worker and 46 ->
 # 44 ms on 2; u8 1536^2 33 -> 29 ms. Half this budget ran 1 worker faster
@@ -54,12 +58,14 @@ _PAD_MODES = {
 }
 
 
-def _extended(band: Band, kernel: Kernel, boundary: BoundaryMode) -> np.ndarray:
-    """Input extended so every kernel placement reads in-range, as int32."""
+def _extended(
+    band: Band, kernel: Kernel, boundary: BoundaryMode, dtype: type
+) -> np.ndarray:
+    """Input extended so every kernel placement reads in-range, as ``dtype``."""
     ar, ac = kernel.anchor
     pads = ((ar, kernel.rows - 1 - ar), (ac, kernel.cols - 1 - ac))
     mode = _PAD_MODES[BoundaryMode(boundary)]
-    return np.pad(band.samples, pads, mode=mode).astype(np.int32)
+    return np.pad(band.samples, pads, mode=mode).astype(dtype)
 
 
 def convolve(
@@ -75,7 +81,9 @@ def convolve(
     band width, computed on up to ``workers`` threads but never on more
     threads than there are tiles or CPUs. Tiles write disjoint output
     regions and share the read-only extended input, so the result does not
-    depend on the tiling or on ``workers``.
+    depend on the tiling or on ``workers``. Each tile sums its taps in
+    int16 when ``kernel.abs_sum() * dtype_max <= 2^15 - 1`` and in int32
+    otherwise, then writes the int32 result.
     """
     if band.width == 0 or band.height == 0:
         raise DomainError("cannot convolve an empty band")
@@ -88,9 +96,13 @@ def convolve(
             "can overflow signed 32-bit accumulation"
         )
 
+    # Every partial sum is a sum of distinct coeff * sample terms, so it is
+    # bounded by ``worst`` too; int16 holds it when worst <= 2^15 - 1 (u8
+    # input with abs_sum <= 128: smooth5 8160, laplacian3 4080).
+    acc_dtype = np.int16 if worst <= _INT16_MAX else np.int32
     height, width = band.height, band.width
-    ext = _extended(band, kernel, boundary)
-    out = np.zeros((height, width), dtype=np.int32)
+    ext = _extended(band, kernel, boundary, acc_dtype)
+    out = np.empty((height, width), dtype=np.int32)
     taps = [
         (r, c, v)
         for r, row in enumerate(kernel.coeffs)
@@ -100,10 +112,12 @@ def convolve(
 
     def run_tile(r0: int, r1: int) -> None:
         n = r1 - r0
-        acc = out[r0:r1]
+        acc = np.zeros((n, width), dtype=acc_dtype)
+        term = np.empty_like(acc)
         for kr, kc, coeff in taps:
-            # Partial sums are bounded by the overflow precheck above.
-            acc += coeff * ext[r0 + kr : r0 + kr + n, kc : kc + width]
+            np.multiply(ext[r0 + kr : r0 + kr + n, kc : kc + width], coeff, out=term)
+            acc += term
+        out[r0:r1] = acc
 
     rows = max(1, _TILE_SAMPLES // width)
     tiles = [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]

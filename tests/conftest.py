@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's vectorized code paths:
 convolution is a plain quadruple loop with inline boundary folding, the
-PRNG reference is pure-Python integer arithmetic, and statistics use
-direct formula translations. Tests compare the fast implementations
+display stretch sorts magnitudes and maps pixels one by one, the PRNG
+reference is pure-Python integer arithmetic, and statistics use direct
+formula translations. Tests compare the fast implementations
 against these.
 """
 
@@ -77,6 +78,60 @@ def oracle_convolve(
                     acc += coeff * int(samples[sr, sc])
             out[r, c] = acc
     return out.astype(np.int32)
+
+
+# ---------------------------------------------------------------------------
+# Stretch oracle
+
+
+def type7_percentile(ranked: list[int], pct: float) -> float:
+    """Percentile of sorted integers, linear between closest ranks.
+
+    Hyndman & Fan type 7 as docs/formats.md pins it: h = (n - 1) * pct/100,
+    a = x[floor(h)], b = x[floor(h) + 1], t = h - floor(h), and the result
+    is a + (b - a) * t, or b - (b - a) * (1 - t) when t >= 0.5. At h >= n - 1
+    it is the largest value.
+    """
+    n = len(ranked)
+    h = (n - 1) * (pct / 100)
+    if h >= n - 1:
+        return float(ranked[-1])
+    i = math.floor(h)
+    a, b, t = float(ranked[i]), float(ranked[i + 1]), h - i
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
+
+
+def oracle_stretch(
+    samples: np.ndarray, mode: str, lo_pct: float = 2.0, hi_pct: float = 98.0
+) -> np.ndarray | None:
+    """Per-pixel display stretch of an int32 field in plain Python.
+
+    ``abs_linear`` clips |x| at the type-7 percentiles of the sorted
+    magnitudes; ``signed_linear`` spans [min, max]. Each value is then
+    mapped as floor((clip(x) - lo) * (255 / (hi - lo)) + 0.5), capped at
+    255; a window with hi <= lo maps to zeros. None means the window is
+    too narrow for 255 / (hi - lo) to be finite, which stretch refuses.
+    """
+    values = [int(v) for v in samples.ravel()]
+    if mode == "abs_linear":
+        values = [abs(v) for v in values]
+        ranked = sorted(values)
+        lo = type7_percentile(ranked, lo_pct)
+        hi = type7_percentile(ranked, hi_pct)
+    else:
+        lo, hi = float(min(values)), float(max(values))
+    if hi <= lo:
+        return np.zeros(samples.shape, dtype=np.uint8)
+    scale = 255.0 / (hi - lo)
+    if scale == math.inf:
+        return None
+    out = [
+        min(math.floor((min(max(float(v), lo), hi) - lo) * scale + 0.5), 255)
+        for v in values
+    ]
+    return np.array(out, dtype=np.uint8).reshape(samples.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -663,6 +663,11 @@ class TestCompareResponses:
         big = self._field([[2**31 - 1, -(2**31 - 1)]])
         rep = compare_responses(big, big, 1.0)
         assert rep.a.histogram[31] == 2
+        # |-2^31| = 2^31 is folded into the last bin, [2^30, 2^31].
+        low = self._field([[-(2**31), 5]])
+        hist = compare_responses(low, low, 1.0).a.histogram
+        assert len(hist) == 32
+        assert hist[31] == 1 and hist[3] == 1 and sum(hist) == 2
 
     def test_edge_density_strictly_above(self):
         field = self._field([[5, -5, 6]])

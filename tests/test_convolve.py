@@ -12,6 +12,7 @@ from gstk import (
     convolve,
     convolve_image,
     laplacian_template,
+    parse_kernel,
     smoothing_template,
 )
 from conftest import oracle_convolve, random_band, traced_peak
@@ -154,6 +155,40 @@ class TestOracleEquivalence:
         out = _engine(mixed, k, "reflect")
         parts = 2 * _engine(Band(a), k, "reflect") + 3 * _engine(Band(b), k, "reflect")
         assert np.array_equal(out, parts)
+
+
+class TestNarrowAccumulator:
+    """u8 kernels on either side of the int16 accumulation bound.
+
+    abs_sum 128 gives a worst case of 128 * 255 = 32640 <= 2^15 - 1, so
+    tiles accumulate in int16; 129 gives 32895 and int32. Single-sign
+    kernels on all-255 input drive every partial sum up to that bound.
+    """
+
+    @staticmethod
+    def _file_kernel(abs_sum, sign):
+        # A 3x3 kernel file with an off-center anchor: 8 * 14 plus the center.
+        grid = [[14, 14, 14], [14, abs_sum - 112, 14], [14, 14, 14]]
+        rows = "\n".join(" ".join(str(sign * v) for v in row) for row in grid)
+        return parse_kernel("anchor 1 0\n" + rows + "\n")
+
+    @pytest.mark.parametrize("abs_sum", [128, 129])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_bound_reached_matches_oracle(self, rng, monkeypatch, abs_sum, sign):
+        kernel = self._file_kernel(abs_sum, sign)
+        assert kernel.abs_sum() == abs_sum
+        saturated = Band(np.full((9, 11), 255, dtype=np.uint8))
+        mixed = random_band(rng, 9, 11)
+        _set_tile_rows(monkeypatch, 2, 11)
+        for band in (saturated, mixed):
+            for boundary in ALL_BOUNDARIES:
+                expected = _oracle(band, kernel, boundary)
+                for workers in (1, 2, 8):
+                    got = _engine(band, kernel, boundary, workers=workers)
+                    assert got.dtype == np.int32
+                    assert np.array_equal(got, expected), (boundary, workers)
+        response = _engine(saturated, kernel, "replicate")
+        assert (response == sign * abs_sum * 255).all()
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from gstk import (
     write_bsq,
     write_pgm,
 )
-from conftest import random_band, random_image, traced_peak
+from conftest import (
+    oracle_stretch,
+    random_band,
+    random_image,
+    traced_peak,
+    type7_percentile,
+)
 
 
 class TestBand:
@@ -303,7 +310,98 @@ class TestBsq:
         assert bsq_paths("dir/a.b") == ("dir/a.b.hdr", "dir/a.b.bsq")
 
 
+# The module, not the function that ``gstk.stretch`` resolves to.
+RASTER = sys.modules["gstk.raster"]
+
+_INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
+
+# Sample ranges for stretch fields: small ones take the magnitude-histogram
+# branch, wide ones (magnitudes beyond the pixel count) np.partition.
+_STRETCH_RANGES = st.sampled_from(
+    [(0, 0), (-1, 1), (-7, 7), (-300, 300), (0, 70000), (_INT32_MIN, _INT32_MAX)]
+)
+_PERCENTILES = st.one_of(
+    st.just(0.0), st.just(100.0), st.floats(0.0, 100.0, allow_nan=False)
+)
+
+
+@st.composite
+def _stretch_cases(draw):
+    height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    lo, hi = draw(_STRETCH_RANGES)
+    elements = st.integers(lo, hi)
+    if draw(st.booleans()):
+        elements = st.one_of(elements, st.sampled_from([_INT32_MIN, _INT32_MAX, 0]))
+    n = height * width
+    samples = draw(st.lists(elements, min_size=n, max_size=n))
+    p, q = sorted((draw(_PERCENTILES), draw(_PERCENTILES)))
+    if p == q:
+        p, q = (p, 100.0) if p < 100.0 else (0.0, q)
+    return np.array(samples, dtype=np.int32).reshape(height, width), p, q
+
+
+def _check_against_oracle(values, lo_pct, hi_pct):
+    field = ResponseField(values)
+    for mode in StretchMode:
+        expected = oracle_stretch(values, mode.value, lo_pct, hi_pct)
+        if expected is None:
+            with pytest.raises(DomainError, match="too narrow"):
+                stretch(field, mode, lo_pct, hi_pct)
+            continue
+        out = stretch(field, mode, lo_pct, hi_pct).samples
+        assert out.tolist() == expected.tolist(), (mode, lo_pct, hi_pct)
+    # The clip points, the library's and the oracle's, are numpy's
+    # ``linear`` percentiles of the float64 magnitudes.
+    flat = values.ravel()
+    mags = np.abs(flat.astype(np.float64))
+    ranked = sorted(abs(int(v)) for v in flat)
+    top = max(ranked)
+    clips = RASTER._magnitude_percentiles(flat, top, (float(lo_pct), float(hi_pct)))
+    for pct, clip in zip((lo_pct, hi_pct), clips):
+        assert clip == type7_percentile(ranked, pct) == float(np.percentile(mags, pct))
+
+
 class TestStretch:
+    @given(_stretch_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_oracle(self, case):
+        _check_against_oracle(*case)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[5]],
+            [[_INT32_MIN]],
+            [[-9, 9], [9, -9]],
+            [[_INT32_MIN, _INT32_MAX, 0, 1]],
+            [[_INT32_MIN, _INT32_MIN + 1, -1, _INT32_MAX]],
+            # magnitude range 10^6 over 6 pixels: the np.partition branch
+            [[0, 1, -2, 999_999, -500_000, 3]],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "pcts", [(2.0, 98.0), (0.0, 100.0), (0.0, 0.5), (37.5, 62.5), (0.0, 1e-310)]
+    )
+    def test_edge_cases_equal_oracle(self, values, pcts):
+        _check_against_oracle(np.array(values, dtype=np.int32), *pcts)
+
+    def test_blocks_and_both_order_statistic_branches(self, rng):
+        # 300 x 300 spans two 2^16-sample blocks; magnitudes below 2^16 are
+        # ranked by histogram, wider ones by np.partition.
+        for top in (255, 2**20):
+            values = rng.integers(-top, top, (300, 300)).astype(np.int32)
+            _check_against_oracle(values, 2.0, 98.0)
+
+    def test_memory_stays_below_one_and_a_half_frames(self, rng):
+        # The magnitudes, an int32-sized copy at most, plus the u8 result and
+        # one float64 block; no full-frame float64 copy.
+        for top in (1000, 2**31 - 1):
+            values = rng.integers(-top, top, (1024, 1024)).astype(np.int32)
+            field = ResponseField(values)
+            for mode in StretchMode:
+                _, peak = traced_peak(stretch, field, mode)
+                assert peak < 1.5 * field.samples.nbytes, (top, mode, peak)
+
     def test_all_zero_field(self):
         f = ResponseField(np.zeros((3, 3), dtype=np.int32))
         out = stretch(f, StretchMode.ABS_LINEAR)
