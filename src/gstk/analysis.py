@@ -32,6 +32,7 @@ from .raster import (
     StretchMode,
     stretch,
     _frozen,
+    _magnitudes,
     _readonly,
 )
 
@@ -60,9 +61,13 @@ class BandStats:
 # partial sum of samples or of their products is an integer no larger than
 # the full sum. A float64 block whose product sums stay below 2^53 is
 # therefore exact in any BLAS reduction order, block size or thread count,
-# and the int64 accumulation of the blocks is exact while N * dtype_max^2
-# stays below 2^63 (for u16, about 2^31 pixels; checked).
+# and the int64 accumulation of the blocks is exact while N * max^2 stays
+# below 2^63 (for u16, about 2^31 pixels; checked). A uint32 plane enters
+# the block as two 16-bit limbs, x = 2^16 * hi + lo, so max is 65535 for
+# it too, and its sums are recombined in Python ints.
 _BLOCK_SAMPLES = 2**18  # float64 samples per block: 2 MiB
+_LIMB_BITS = np.uint32(16)
+_LIMB_MASK = np.uint32(0xFFFF)
 
 
 class _Moments(NamedTuple):
@@ -84,26 +89,41 @@ class _Moments(NamedTuple):
 
 
 def _moments(planes: Sequence[np.ndarray]) -> _Moments:
-    """Exact moments of equally sized, non-empty u8 or u16 sample arrays."""
+    """Exact moments of equally sized, non-empty u8, u16 or uint32 arrays.
+
+    All planes share one dtype. A uint32 plane's limbs are written block
+    by block, so no full-frame limb plane is built.
+    """
     n = planes[0].size
-    top = int(np.iinfo(planes[0].dtype).max)
+    limbs = 2 if planes[0].dtype == np.uint32 else 1
+    top = 0xFFFF if limbs == 2 else int(np.iinfo(planes[0].dtype).max)
     if n * top**2 >= 2**63:
         raise DomainError(
             f"{n} pixels of {planes[0].dtype} samples exceed the exact moment "
-            "budget (pixels * max^2 < 2^63)"
+            f"budget (pixels * {top}^2 < 2^63)"
         )
-    block = min(max(1, _BLOCK_SAMPLES // len(planes)), (2**53 - 1) // top**2, n)
+    rows = limbs * len(planes)
+    block = min(max(1, _BLOCK_SAMPLES // rows), (2**53 - 1) // top**2, n)
     flats = [p.reshape(-1) for p in planes]
-    buf = np.empty((len(planes), block), dtype=np.float64)
-    sums = np.zeros(len(planes), dtype=np.int64)
-    gram = np.zeros((len(planes), len(planes)), dtype=np.int64)
+    buf = np.empty((rows, block), dtype=np.float64)
+    sums = np.zeros(rows, dtype=np.int64)
+    gram = np.zeros((rows, rows), dtype=np.int64)
     for start in range(0, n, block):
         stop = min(start + block, n)
         x = buf[:, : stop - start]
-        for row, flat in zip(x, flats):
-            row[...] = flat[start:stop]
+        for i, flat in enumerate(flats):
+            part = flat[start:stop]
+            if limbs == 1:
+                x[i] = part
+            else:
+                np.right_shift(part, _LIMB_BITS, out=x[2 * i])
+                np.bitwise_and(part, _LIMB_MASK, out=x[2 * i + 1])
         sums += x.sum(axis=1).astype(np.int64)
         gram += (x @ x.T).astype(np.int64)
+    if limbs == 2:
+        # Rows 2i and 2i + 1 hold plane i's hi and lo limbs: x = 2^16 hi + lo.
+        mix = np.kron(np.eye(len(planes), dtype=object), [[1 << 16, 1]])
+        sums, gram = mix @ sums.astype(object), mix @ gram.astype(object) @ mix.T
     return _Moments(n, sums.tolist(), gram.tolist())
 
 
@@ -618,7 +638,12 @@ HISTOGRAM_BINS = 32
 
 @dataclass(frozen=True)
 class FieldSummary:
-    """Response-magnitude statistics of one field."""
+    """Response-magnitude statistics of one field.
+
+    Magnitudes are uint32, so |-2^31| = 2^31. ``mean_magnitude`` and
+    ``stddev_magnitude`` come from exact integer sums of the magnitudes
+    and their squares, each rounded to float64 once, as in ``BandStats``.
+    """
 
     mean_magnitude: float
     stddev_magnitude: float
@@ -639,9 +664,10 @@ class ComparisonReport:
     """Side-by-side statistics of two response fields.
 
     ``magnitude_correlation`` is the Pearson correlation of the two
-    magnitude fields (None when either is constant); ``sign_agreement`` is
-    the fraction of pixels whose response signs match exactly, zeros
-    included.
+    magnitude fields, from exact integer sums as in ``correlation``; it is
+    None exactly when either field has zero variance (``N * sum(m^2) ==
+    sum(m)^2``). ``sign_agreement`` is the fraction of pixels whose
+    response signs match exactly, zeros included.
     """
 
     threshold: float
@@ -661,21 +687,17 @@ class ComparisonReport:
         }
 
 
-def _mean_std(values: np.ndarray) -> tuple[float, float]:
-    # Two-pass float mean and variance: int32 magnitudes squared do not fit
-    # below 2^53, so the exact moments of band statistics do not apply.
-    mean = float(values.mean())
-    var = float(((values - mean) ** 2).mean())
-    return mean, math.sqrt(var)
-
-
-def _summarize_field(mag: np.ndarray, threshold: float) -> FieldSummary:
-    mean, std = _mean_std(mag)
+def _summarize_field(
+    mag: np.ndarray, moments: _Moments, i: int, threshold: float
+) -> FieldSummary:
     density = float((mag > threshold).mean())
+    # float64 holds every uint32 magnitude, so the exponents are exact.
     exponent = np.frexp(mag)[1]
     np.minimum(exponent, HISTOGRAM_BINS - 1, out=exponent)
     hist = np.bincount(exponent.ravel(), minlength=HISTOGRAM_BINS)
-    return FieldSummary(mean, std, density, tuple(int(c) for c in hist))
+    return FieldSummary(
+        moments.mean(i), moments.stddev(i), density, tuple(int(c) for c in hist)
+    )
 
 
 def compare_responses(
@@ -694,17 +716,14 @@ def compare_responses(
         raise DomainError("cannot compare empty fields")
     if not threshold > 0:
         raise DomainError(f"threshold must be > 0, got {threshold}")
-    # float64 holds every int32 magnitude exactly, including |-2^31|.
-    mag_a = np.abs(a.samples.astype(np.float64))
-    mag_b = np.abs(b.samples.astype(np.float64))
-    sum_a = _summarize_field(mag_a, threshold)
-    sum_b = _summarize_field(mag_b, threshold)
-    if sum_a.stddev_magnitude == 0.0 or sum_b.stddev_magnitude == 0.0:
+    mag_a, mag_b = _magnitudes(a.samples), _magnitudes(b.samples)
+    moments = _moments([mag_a, mag_b])
+    sum_a = _summarize_field(mag_a, moments, 0, threshold)
+    sum_b = _summarize_field(mag_b, moments, 1, threshold)
+    if moments.scatter(0, 0) == 0 or moments.scatter(1, 1) == 0:
         corr = None
     else:
-        mag_a -= sum_a.mean_magnitude
-        mag_b -= sum_b.mean_magnitude
-        cov = float((mag_a * mag_b).mean())
+        cov = moments.scatter(0, 1) / moments.n**2
         corr = cov / (sum_a.stddev_magnitude * sum_b.stddev_magnitude)
     agreement = float((np.sign(a.samples) == np.sign(b.samples)).mean())
     return ComparisonReport(

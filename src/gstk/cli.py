@@ -362,15 +362,24 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     boundary = BoundaryMode(args.boundary)
 
     image, truth = synth.synth_scene(spec)
+    # Training set: the even-coordinate subgrid of the truth map. Held-out
+    # pixels are everything else; accuracy below is over all labeled pixels.
+    names = [sig.name for sig in spec.signatures]
+    counts = np.bincount(truth.labels[::2, ::2].ravel(), minlength=len(names) + 1)
+    untrained = [
+        f"class {name!r} ({k}) has no training pixel on the even-row, "
+        "even-column subgrid"
+        for k, name in enumerate(names, 1)
+        if not counts[k]
+    ]
+    if untrained:
+        raise DomainError("; ".join(untrained))
+    training = np.zeros_like(truth.labels)
+    training[::2, ::2] = truth.labels[::2, ::2]
+
     features, resp_chosen = analysis._features(
         image, analysis.FeatureKind(args.features), kernel, boundary
     )
-
-    # Training set: the even-coordinate subgrid of the truth map. Held-out
-    # pixels are everything else; accuracy below is over all labeled pixels.
-    training = np.zeros_like(truth.labels)
-    training[::2, ::2] = truth.labels[::2, ::2]
-    names = [sig.name for sig in spec.signatures]
     rois = analysis.rois_from_labels(training, names)
     specs = analysis.fit_classes(features, rois, analysis.FitMode(args.mode), args.k)
     cmap = analysis.classify(features, specs)

@@ -325,6 +325,15 @@ class StretchMode(str, Enum):
 _BLOCK = 2**16
 
 
+def _magnitudes(samples: np.ndarray) -> np.ndarray:
+    """|samples| of an int32 array as uint32, so that |-2^31| = 2^31.
+
+    ``np.abs`` wraps -2^31 to itself in int32; its bits read as 2^31 in
+    uint32, and every other magnitude reads unchanged.
+    """
+    return np.abs(samples).view(np.uint32)
+
+
 def _magnitude_percentiles(
     flat: np.ndarray, top: int, pcts: tuple[float, float]
 ) -> list[float]:
@@ -349,8 +358,7 @@ def _magnitude_percentiles(
             counts += np.bincount(mags, minlength=top + 1)
         stats = np.searchsorted(np.cumsum(counts), ranks, side="right")
     else:
-        # |-2^31| wraps to -2^31 in int32, which reads as 2^31 in uint32.
-        mags = np.abs(flat).view(np.uint32)
+        mags = _magnitudes(flat)
         mags.partition(ranks)
         stats = mags[ranks]
     value = {r: float(s) for r, s in zip(ranks, stats)}

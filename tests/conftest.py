@@ -4,7 +4,7 @@ The oracles here deliberately avoid the library's vectorized code paths:
 convolution is a plain quadruple loop with inline boundary folding, the
 display stretch sorts magnitudes and maps pixels one by one, the PRNG
 reference is pure-Python integer arithmetic, and statistics use direct
-formula translations. Tests compare the fast implementations
+formula translations or exact Python-int sums. Tests compare the fast implementations
 against these.
 """
 
@@ -175,6 +175,28 @@ def ref_moments(planes) -> tuple[int, list[int], list[list[int]]]:
     sums = [sum(v) for v in values]
     gram = [[sum(a * b for a, b in zip(vi, vj)) for vj in values] for vi in values]
     return len(values[0]), sums, gram
+
+
+def oracle_compare(a: np.ndarray, b: np.ndarray) -> dict:
+    """Exact magnitude statistics of two int32 fields, in Python ints.
+
+    With N pixels, S = sum(|x|) and Q = sum(|x|^2) per field and
+    P = sum(|a| |b|), each mean, variance and covariance is one rounded
+    division of Python ints, as docs/formats.md states: mean S/N, stddev
+    sqrt((N Q - S^2) / N^2), and correlation ((N P - S_a S_b) / N^2) /
+    (s_a s_b), None when either N Q == S^2.
+    """
+    ma, mb = ([abs(int(v)) for v in f.ravel()] for f in (a, b))
+    n = len(ma)
+    sa, sb = sum(ma), sum(mb)
+    scatter_a = n * sum(v * v for v in ma) - sa * sa
+    scatter_b = n * sum(v * v for v in mb) - sb * sb
+    cross = n * sum(x * y for x, y in zip(ma, mb)) - sa * sb
+    std_a, std_b = math.sqrt(scatter_a / n**2), math.sqrt(scatter_b / n**2)
+    corr = None
+    if scatter_a and scatter_b:
+        corr = cross / n**2 / (std_a * std_b)
+    return {"mean": (sa / n, sb / n), "stddev": (std_a, std_b), "correlation": corr}
 
 
 def traced_peak(fn, *args):

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gstk import (
     Band,
@@ -34,7 +35,14 @@ from gstk import (
 )
 import gstk.analysis as analysis
 from gstk.analysis import classification_to_band
-from conftest import forced_oif_spec, random_band, random_image, ref_moments, traced_peak
+from conftest import (
+    forced_oif_spec,
+    oracle_compare,
+    random_band,
+    random_image,
+    ref_moments,
+    traced_peak,
+)
 
 
 def _image(*planes, dtype=np.uint8):
@@ -127,6 +135,22 @@ class TestCorrelation:
         limit = (2**63 - 1) // top**2  # most pixels whose sums fit in int64
         # A zero-stride view: one pixel over the bound, no memory behind it.
         plane = np.broadcast_to(dtype(0), (limit + 1,))
+        with pytest.raises(DomainError, match="exact moment budget"):
+            analysis._moments([plane])
+
+    @pytest.mark.parametrize("block_samples", [21, 2])
+    def test_uint32_limbs_equal_exact_sums(self, rng, monkeypatch, block_samples):
+        planes = [rng.integers(0, 2**32, (10, 10), dtype=np.uint32) for _ in range(3)]
+        planes[0][0, :4] = [0, 2**32 - 1, 2**16, 2**16 - 1]
+        whole = analysis._moments(planes)
+        # 6 limb rows: blocks of 3 pixels, the last holding 1; or of 1 pixel.
+        monkeypatch.setattr(analysis, "_BLOCK_SAMPLES", block_samples)
+        assert whole == analysis._moments(planes) == ref_moments(planes)
+
+    def test_uint32_limb_budget_refused(self):
+        # The budget uses the 16-bit limb maximum, not the uint32 maximum.
+        limit = (2**63 - 1) // 0xFFFF**2
+        plane = np.broadcast_to(np.uint32(0), (limit + 1,))
         with pytest.raises(DomainError, match="exact moment budget"):
             analysis._moments([plane])
 
@@ -629,9 +653,72 @@ class TestClassificationToBand:
             classification_to_band(cmap)
 
 
+_INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
+_COMPARE_RANGES = st.sampled_from(
+    [(0, 0), (-1, 1), (-300, 300), (0, 70000), (_INT32_MIN, _INT32_MAX)]
+)
+
+
+@st.composite
+def _compare_fields(draw, n):
+    lo, hi = draw(_COMPARE_RANGES)
+    elements = st.integers(lo, hi)
+    if draw(st.booleans()):
+        return [draw(elements)] * n
+    if draw(st.booleans()):
+        elements = st.one_of(elements, st.sampled_from([_INT32_MIN, _INT32_MAX, 0]))
+    return draw(st.lists(elements, min_size=n, max_size=n))
+
+
+@st.composite
+def _compare_cases(draw):
+    shape = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    a, b = (
+        np.array(draw(_compare_fields(shape[0] * shape[1])), dtype=np.int32).reshape(shape)
+        for _ in range(2)
+    )
+    # None keeps the default block; 21 and 2 split 4 limb rows into blocks
+    # of 5 pixels and of 1.
+    return a, b, draw(st.sampled_from([None, 21, 2]))
+
+
+def _check_compare_against_oracle(a, b):
+    rep = compare_responses(ResponseField(a), ResponseField(b), 1.0)
+    expected = oracle_compare(a, b)
+    assert (rep.a.mean_magnitude, rep.b.mean_magnitude) == expected["mean"]
+    assert (rep.a.stddev_magnitude, rep.b.stddev_magnitude) == expected["stddev"]
+    assert rep.magnitude_correlation == expected["correlation"]
+
+
 class TestCompareResponses:
     def _field(self, values):
         return ResponseField(np.asarray(values, dtype=np.int32))
+
+    @given(_compare_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_exact_oracle(self, case):
+        a, b, block_samples = case
+        with pytest.MonkeyPatch.context() as patch:
+            if block_samples is not None:
+                patch.setattr(analysis, "_BLOCK_SAMPLES", block_samples)
+            _check_compare_against_oracle(a, b)
+
+    def test_two_blocks_equal_exact_oracle(self, rng):
+        # 300 x 300 pixels take two default blocks of 2^16, the second partial.
+        a = rng.integers(_INT32_MIN, _INT32_MAX, (300, 300), dtype=np.int32)
+        b = rng.integers(-5000, 5000, (300, 300), dtype=np.int32)
+        a[0, :2] = [_INT32_MIN, _INT32_MAX]
+        _check_compare_against_oracle(a, b)
+
+    def test_peak_memory_below_six_frames(self, rng):
+        # Two uint32 magnitude frames plus np.frexp's float64 mantissa and
+        # int32 exponent; no float64 magnitude copies.
+        a, b = (
+            self._field(rng.integers(-(2**20), 2**20, (1024, 1024), dtype=np.int32))
+            for _ in range(2)
+        )
+        _, peak = traced_peak(compare_responses, a, b, 8.0)
+        assert peak < 6 * a.samples.nbytes, peak / a.samples.nbytes
 
     def test_identical_fields(self, rng):
         values = rng.integers(-200, 200, (8, 8)).astype(np.int32)

@@ -474,6 +474,40 @@ class TestPipeline:
                 tmp_path / "r2" / name
             ).read_bytes(), name
 
+    @pytest.mark.parametrize(
+        "regions, message",
+        [
+            # A 1x1 dot at (1, 1) lies off the even-row, even-column subgrid.
+            ([{"shape": "rect", "class": 2, "row": 1, "col": 1, "height": 1,
+               "width": 1},
+              {"shape": "rect", "class": 3, "row": 8, "col": 8, "height": 4,
+               "width": 4}],
+             "class 'dot' (2) has no training pixel on the even-row, "
+             "even-column subgrid"),
+            # Class 2 is never painted.
+            ([{"shape": "rect", "class": 3, "row": 2, "col": 2, "height": 4,
+               "width": 4}],
+             "class 'dot' (2) has no training pixel on the even-row, "
+             "even-column subgrid"),
+        ],
+    )
+    def test_class_without_training_pixel(self, tmp_path, capsys, regions, message):
+        doc = {
+            "width": 16, "height": 16, "dtype": "u8", "seed": 5,
+            "classes": [
+                {"name": "bg", "means": [20], "sigmas": [1]},
+                {"name": "dot", "means": [120], "sigmas": [1]},
+                {"name": "ring", "means": [220], "sigmas": [1]},
+            ],
+            "regions": regions,
+        }
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        code = main(["pipeline", "--spec", str(tmp_path / "spec.json"),
+                     "--out-dir", str(tmp_path / "run")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
 
 class TestExitCodes:
     def test_no_arguments_is_usage(self):
