@@ -31,6 +31,7 @@ from .raster import (
     ResponseField,
     StretchMode,
     stretch,
+    _BLOCK,
     _frozen,
     _magnitudes,
     _readonly,
@@ -690,13 +691,25 @@ class ComparisonReport:
 def _summarize_field(
     mag: np.ndarray, moments: _Moments, i: int, threshold: float
 ) -> FieldSummary:
-    density = float((mag > threshold).mean())
-    # float64 holds every uint32 magnitude, so the exponents are exact.
-    exponent = np.frexp(mag)[1]
-    np.minimum(exponent, HISTOGRAM_BINS - 1, out=exponent)
-    hist = np.bincount(exponent.ravel(), minlength=HISTOGRAM_BINS)
+    flat = mag.reshape(-1)
+    hist = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
+    above = 0
+    # One reused mantissa and exponent block; float64 holds every uint32
+    # magnitude, so the exponents are exact.
+    mantissa = np.empty(min(flat.size, _BLOCK), dtype=np.float64)
+    exponent = np.empty(mantissa.size, dtype=np.int32)
+    for s in range(0, flat.size, _BLOCK):
+        block = flat[s : s + _BLOCK]
+        e = exponent[: block.size]
+        np.frexp(block, out=(mantissa[: block.size], e))
+        np.minimum(e, HISTOGRAM_BINS - 1, out=e)
+        hist += np.bincount(e, minlength=HISTOGRAM_BINS)
+        above += int(np.count_nonzero(block > threshold))
     return FieldSummary(
-        moments.mean(i), moments.stddev(i), density, tuple(int(c) for c in hist)
+        moments.mean(i),
+        moments.stddev(i),
+        above / flat.size,
+        tuple(int(c) for c in hist),
     )
 
 
@@ -725,13 +738,17 @@ def compare_responses(
     else:
         cov = moments.scatter(0, 1) / moments.n**2
         corr = cov / (sum_a.stddev_magnitude * sum_b.stddev_magnitude)
-    agreement = float((np.sign(a.samples) == np.sign(b.samples)).mean())
+    flat_a, flat_b = a.samples.reshape(-1), b.samples.reshape(-1)
+    agree = 0
+    for s in range(0, flat_a.size, _BLOCK):
+        signs = np.sign(flat_a[s : s + _BLOCK])
+        agree += int(np.count_nonzero(signs == np.sign(flat_b[s : s + _BLOCK])))
     return ComparisonReport(
         threshold=threshold,
         a=sum_a,
         b=sum_b,
         magnitude_correlation=corr,
-        sign_agreement=agreement,
+        sign_agreement=agree / flat_a.size,
     )
 
 

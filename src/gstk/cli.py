@@ -3,11 +3,12 @@
 Every subcommand is a thin shell over the library: it loads inputs,
 calls the same functions a caller would, and serializes the results.
 Outputs are computed fully before anything is written. Each file is then
-written to a temporary sibling, and only when every temporary is written
-are they renamed into place one by one. Each file is therefore replaced
-atomically and no temporary file is left behind, but the set of files is
-not replaced atomically: if a later rename fails, the files already
-renamed stay replaced.
+serialized straight into a temporary sibling, with no in-memory copy of
+its bytes, and only when every temporary is written are they renamed into
+place one by one. Each file is therefore replaced atomically and no
+temporary file is left behind, but the set of files is not replaced
+atomically: if a later rename fails, the files already renamed stay
+replaced.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or file-format error,
 3 domain error (invalid values, zero-variance bands, two outputs that
@@ -17,12 +18,13 @@ resolve to one file, and so on).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
 import sys
 import tempfile
+from collections.abc import Callable
+from typing import BinaryIO
 
 import numpy as np
 
@@ -42,10 +44,10 @@ from .raster import (
     ResponseField,
     StretchMode,
     bsq_paths,
+    _bsq_parts,
     read_bsq,
     read_pgm,
     stretch,
-    write_bsq,
     write_pgm,
 )
 
@@ -125,19 +127,25 @@ def _kernel_from_choice(choice: str) -> Kernel:
 class _Stage:
     """Collects output files, then commits each one via temp + rename.
 
-    Two outputs that resolve to one file are refused when the second is
-    added, before anything is written; otherwise the later rename would
-    silently replace the earlier output.
+    Each output is a writer, ``write(f)``, that serializes values already
+    computed into the open temporary file during ``commit``. Everything
+    that can refuse an output is checked when it is added, before anything
+    is written: two outputs that resolve to one file are refused there,
+    since the later rename would otherwise silently replace the earlier
+    output.
     """
 
     def __init__(self) -> None:
-        self._items: dict[str, tuple[str, bytes]] = {}
+        self._items: dict[str, tuple[str, Callable[[BinaryIO], object]]] = {}
 
-    def add_bytes(self, path: str, data: bytes) -> None:
+    def add_writer(self, path: str, write: Callable[[BinaryIO], object]) -> None:
         key = os.path.realpath(path)
         if key in self._items:
             raise DomainError(f"two outputs would be written to {path}")
-        self._items[key] = (path, data)
+        self._items[key] = (path, write)
+
+    def add_bytes(self, path: str, data: bytes) -> None:
+        self.add_writer(path, lambda f: f.write(data))
 
     def add_text(self, path: str, text: str) -> None:
         self.add_bytes(path, text.encode("utf-8"))
@@ -145,14 +153,16 @@ class _Stage:
     def commit(self) -> None:
         temps: list[tuple[str, str]] = []
         try:
-            for path, data in self._items.values():
+            for path, write in self._items.values():
                 directory = os.path.dirname(os.path.abspath(path))
                 fd, tmp = tempfile.mkstemp(
                     dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
                 )
-                with os.fdopen(fd, "wb") as f:
-                    f.write(data)
+                # Listed before writing, so a writer that fails part-way
+                # still has its temporary removed.
                 temps.append((tmp, path))
+                with os.fdopen(fd, "wb") as f:
+                    write(f)
             for tmp, path in temps:
                 os.replace(tmp, path)
         except BaseException:
@@ -190,15 +200,28 @@ def _stage_image(stage: _Stage, path: str, image: MultibandImage) -> None:
         stage.add_bytes(path, write_pgm(image.bands[0]))
         return
     header_path, payload_path = bsq_paths(path)
-    header, payload = write_bsq(image)
+    header, bands = _bsq_parts(image)
     stage.add_text(header_path, header)
-    stage.add_bytes(payload_path, payload)
+    stage.add_writer(payload_path, lambda f: f.writelines(bands))
 
 
-def _npy_bytes(array: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, array)
-    return buf.getvalue()
+def _stage_stack(stage: _Stage, path: str, fields: list[ResponseField]) -> None:
+    """Stage the fields as one (bands, height, width) int32 ``.npy`` stack.
+
+    The bytes equal ``np.save`` of the stacked array: a version 1.0 header,
+    then each field's samples in turn, with no stacked copy.
+    """
+    header = {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(np.int32)),
+        "fortran_order": False,
+        "shape": (len(fields), fields[0].height, fields[0].width),
+    }
+
+    def write(f: BinaryIO) -> None:
+        np.lib.format.write_array_header_1_0(f, header)
+        f.writelines(field.samples for field in fields)
+
+    stage.add_writer(path, write)
 
 
 def _load_field(path: str) -> ResponseField:
@@ -278,8 +301,7 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     stage = _Stage()
     _stage_image(stage, args.out, out_image)
     if args.raw_out:
-        stack = np.stack([f.samples for f in fields])
-        stage.add_bytes(args.raw_out, _npy_bytes(stack))
+        _stage_stack(stage, args.raw_out, fields)
     stage.commit()
     print(f"convolved {image.n_bands} band(s) with {args.kernel} ({args.boundary})")
     return EXIT_OK

@@ -82,8 +82,9 @@ def convolve(
     threads than there are tiles or CPUs. Tiles write disjoint output
     regions and share the read-only extended input, so the result does not
     depend on the tiling or on ``workers``. Each tile sums its taps in
-    int16 when ``kernel.abs_sum() * dtype_max <= 2^15 - 1`` and in int32
-    otherwise, then writes the int32 result.
+    int16 when ``kernel.abs_sum() * dtype_max <= 2^15 - 1`` and copies the
+    sum into the int32 result; otherwise it sums them in the int32 result
+    directly.
     """
     if band.width == 0 or band.height == 0:
         raise DomainError("cannot convolve an empty band")
@@ -103,21 +104,26 @@ def convolve(
     height, width = band.height, band.width
     ext = _extended(band, kernel, boundary, acc_dtype)
     out = np.empty((height, width), dtype=np.int32)
+    # An all-zero kernel keeps one zero tap, which writes the zero response.
     taps = [
         (r, c, v)
         for r, row in enumerate(kernel.coeffs)
         for c, v in enumerate(row)
         if v != 0
-    ]
+    ] or [(0, 0, 0)]
+    in_place = acc_dtype is np.int32
 
     def run_tile(r0: int, r1: int) -> None:
         n = r1 - r0
-        acc = np.zeros((n, width), dtype=acc_dtype)
+        acc = out[r0:r1] if in_place else np.empty((n, width), dtype=acc_dtype)
         term = np.empty_like(acc)
-        for kr, kc, coeff in taps:
+        (kr, kc, coeff), *rest = taps
+        np.multiply(ext[r0 + kr : r0 + kr + n, kc : kc + width], coeff, out=acc)
+        for kr, kc, coeff in rest:
             np.multiply(ext[r0 + kr : r0 + kr + n, kc : kc + width], coeff, out=term)
             acc += term
-        out[r0:r1] = acc
+        if not in_place:
+            out[r0:r1] = acc
 
     rows = max(1, _TILE_SAMPLES // width)
     tiles = [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]

@@ -227,6 +227,7 @@ def write_pgm(band: Band) -> bytes:
 
 _BSQ_MAGIC = "GSTK1"
 _BSQ_KEYS = ("magic", "width", "height", "bands", "dtype", "byteorder")
+_BSQ_DTYPES = {"u8": np.dtype(np.uint8), "u16": np.dtype("<u2")}
 
 
 def read_bsq(header_text: str, payload: bytes) -> MultibandImage:
@@ -235,6 +236,11 @@ def read_bsq(header_text: str, payload: bytes) -> MultibandImage:
     The header is ``key=value`` lines carrying exactly the keys magic,
     width, height, bands, dtype, byteorder. Samples are little-endian,
     each band stored contiguously in order.
+
+    On a little-endian host the bands are read-only views of a read-only
+    payload such as ``bytes``, which they keep alive; no sample is copied.
+    A writable payload such as a ``bytearray`` is copied once, so changing
+    it afterwards leaves the bands unchanged.
     """
     fields: dict[str, str] = {}
     for lineno, line in enumerate(header_text.splitlines(), start=1):
@@ -269,16 +275,15 @@ def read_bsq(header_text: str, payload: bytes) -> MultibandImage:
     if not 1 <= n_bands <= 255:
         raise FileFormatError(f"band count {n_bands} out of range 1..255")
     dtype = fields["dtype"]
-    bytes_per = 1 if dtype == "u8" else 2
-    expected = width * height * n_bands * bytes_per
+    expected = width * height * n_bands * _BSQ_DTYPES[dtype].itemsize
     if len(payload) != expected:
         raise FileFormatError(
             f"payload length {len(payload)} != expected {expected} "
             f"({width}x{height}x{n_bands}, {dtype})"
         )
-    np_dtype = np.uint8 if dtype == "u8" else np.dtype("<u2")
-    # Each band is a read-only view of this one buffer.
-    flat = _frozen(np.frombuffer(payload, dtype=np_dtype).astype(NUMPY_DTYPES[dtype]))
+    flat = np.frombuffer(payload, dtype=_BSQ_DTYPES[dtype])
+    # Copy only a writable payload, so no one can change the bands through it.
+    flat = _frozen(flat.astype(NUMPY_DTYPES[dtype], copy=flat.flags.writeable))
     bands = tuple(
         Band(flat[b * width * height : (b + 1) * width * height].reshape(height, width))
         for b in range(n_bands)
@@ -286,8 +291,12 @@ def read_bsq(header_text: str, payload: bytes) -> MultibandImage:
     return MultibandImage(bands)
 
 
-def write_bsq(image: MultibandImage) -> tuple[str, bytes]:
-    """Encode an image as a (header text, payload bytes) pair."""
+def _bsq_parts(image: MultibandImage) -> tuple[str, list[np.ndarray]]:
+    """The header text and each band's payload samples, in band order.
+
+    Each band is its samples as little-endian ``_BSQ_DTYPES``: a view, not
+    a copy, on a little-endian host.
+    """
     header = (
         f"magic={_BSQ_MAGIC}\n"
         f"width={image.width}\n"
@@ -296,9 +305,14 @@ def write_bsq(image: MultibandImage) -> tuple[str, bytes]:
         f"dtype={image.dtype}\n"
         f"byteorder=le\n"
     )
-    np_dtype = np.uint8 if image.dtype == "u8" else np.dtype("<u2")
-    payload = b"".join(b.samples.astype(np_dtype).tobytes() for b in image.bands)
-    return header, payload
+    np_dtype = _BSQ_DTYPES[image.dtype]
+    return header, [b.samples.astype(np_dtype, copy=False) for b in image.bands]
+
+
+def write_bsq(image: MultibandImage) -> tuple[str, bytes]:
+    """Encode an image as a (header text, payload bytes) pair."""
+    header, bands = _bsq_parts(image)
+    return header, b"".join(bands)
 
 
 def bsq_paths(path: str) -> tuple[str, str]:

@@ -720,6 +720,16 @@ class TestCompareResponses:
         _, peak = traced_peak(compare_responses, a, b, 8.0)
         assert peak < 6 * a.samples.nbytes, peak / a.samples.nbytes
 
+    def test_peak_memory_below_three_frames(self, rng):
+        # The two uint32 magnitude frames; the histogram exponents, the edge
+        # count and the sign agreement run in blocks.
+        a, b = (
+            self._field(rng.integers(-(2**20), 2**20, (1024, 1024), dtype=np.int32))
+            for _ in range(2)
+        )
+        _, peak = traced_peak(compare_responses, a, b, 8.0)
+        assert peak < 3 * a.samples.nbytes, peak / a.samples.nbytes
+
     def test_identical_fields(self, rng):
         values = rng.integers(-200, 200, (8, 8)).astype(np.int32)
         rep = compare_responses(self._field(values), self._field(values), 10.0)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -26,8 +27,14 @@ from gstk import (
     write_pgm,
 )
 from gstk.analysis import classification_to_band, oif_report_dict
-from gstk.cli import main
-from conftest import forced_oif_spec, random_band, separable_scene_spec
+from gstk.cli import _Stage, main
+from conftest import (
+    forced_oif_spec,
+    random_band,
+    random_image,
+    separable_scene_spec,
+    traced_peak,
+)
 
 SMOOTH5_TEXT = "0 0 1 0 0\n0 2 -4 2 0\n1 -4 4 -4 1\n0 2 -4 2 0\n0 0 1 0 0\n"
 LAPLACIAN3_TEXT = "-1 -1 -1\n-1 8 -1\n-1 -1 -1\n"
@@ -95,6 +102,41 @@ class TestConvolve:
         assert stack.shape == (3, spec.height, spec.width)
         for field, plane in zip(fields, stack):
             assert np.array_equal(field.samples, plane)
+
+    @pytest.mark.parametrize("dtype", ["u8", "u16"])
+    @pytest.mark.parametrize("n_bands", [1, 3])
+    def test_raw_out_equals_np_save(self, tmp_path, rng, n_bands, dtype):
+        image = random_image(rng, n_bands, 11, 13, dtype)
+        header, payload = write_bsq(image)
+        (tmp_path / "in.hdr").write_text(header)
+        (tmp_path / "in.bsq").write_bytes(payload)
+        raw = tmp_path / "raw.npy"
+        code = main(["convolve", "--in", str(tmp_path / "in.bsq"),
+                     "--out", str(tmp_path / "out.bsq"), "--raw-out", str(raw)])
+        assert code == 0
+        fields = convolve_image(image, smoothing_template())
+        expected = io.BytesIO()
+        np.save(expected, np.stack([f.samples for f in fields]))
+        assert raw.read_bytes() == expected.getvalue()
+        if n_bands == 1:
+            code = main(["compare", "--a", str(raw), "--b", str(raw),
+                         "--threshold", "8", "--out", str(tmp_path / "cmp.json")])
+            assert code == 0
+
+    def test_peak_memory_below_eleven_frames(self, tmp_path, rng):
+        # Input payload, padded input, four responses and the stretched
+        # bands; no stacked or serialized copy of an output.
+        image = random_image(rng, 4, 512, 512, "u16")
+        header, payload = write_bsq(image)
+        (tmp_path / "in.hdr").write_text(header)
+        (tmp_path / "in.bsq").write_bytes(payload)
+        argv = ["convolve", "--in", str(tmp_path / "in.bsq"),
+                "--out", str(tmp_path / "out.bsq"),
+                "--raw-out", str(tmp_path / "raw.npy")]
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        frame = 512 * 512 * 4
+        assert peak < 11 * frame, peak / frame
 
     def test_pgm_single_band(self, tmp_path, rng):
         band = random_band(rng, 9, 9)
@@ -200,6 +242,26 @@ class TestConvolve:
         assert out.read_bytes() == write_pgm(expected)
         assert raw.read_bytes() == b"old"
         assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestStage:
+    def test_failing_writer_leaves_old_files_and_no_temporaries(self, tmp_path):
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        first.write_bytes(b"old first")
+        second.write_bytes(b"old second")
+
+        def fail_part_way(f):
+            f.write(b"partial")
+            raise OSError("disk full")
+
+        stage = _Stage()
+        stage.add_bytes(str(first), b"new first")
+        stage.add_writer(str(second), fail_part_way)
+        with pytest.raises(OSError, match="disk full"):
+            stage.commit()
+        assert first.read_bytes() == b"old first"
+        assert second.read_bytes() == b"old second"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["first.bin", "second.bin"]
 
 
 class TestOif:

@@ -44,6 +44,15 @@ class TestBasics:
         out = _engine(band, smoothing_template(), "replicate")
         assert not out.any()
 
+    @pytest.mark.parametrize("dtype", ["u8", "u16"])
+    def test_all_zero_kernel(self, rng, monkeypatch, dtype):
+        band = random_band(rng, 9, 7, dtype)
+        _set_tile_rows(monkeypatch, 2, band.width)
+        k = Kernel(((0, 0, 0), (0, 0, 0)), anchor=(1, 1))
+        for boundary in ALL_BOUNDARIES:
+            out = _engine(band, k, boundary, workers=2)
+            assert out.dtype == np.int32 and not out.any()
+
     def test_identity_kernel_passthrough(self, rng):
         band = random_band(rng, 6, 8, "u16")
         k = Kernel(((1,),), anchor=(0, 0))
@@ -240,6 +249,13 @@ class TestMemory:
         _set_tile_rows(monkeypatch, 16, band.width)
         field, peak = traced_peak(lambda: convolve(band, smoothing_template()))
         assert peak < 2.5 * field.samples.nbytes
+
+    def test_int32_tile_accumulates_in_output(self, rng):
+        # One tile covers the band: the padded input, the output and one
+        # tap term are live; a separate accumulator would make a fourth.
+        band = random_band(rng, 256, 256, "u16")
+        field, peak = traced_peak(lambda: convolve(band, smoothing_template()))
+        assert peak < 3.5 * field.samples.nbytes, peak / field.samples.nbytes
 
 
 class TestValidation:

@@ -238,6 +238,36 @@ class TestBsq:
         assert write_bsq(read) == (header, payload)
         assert peak < 1.5 * len(payload)
 
+    @pytest.mark.parametrize(
+        "dtype",
+        [
+            "u8",
+            pytest.param(
+                "u16",
+                marks=pytest.mark.skipif(
+                    sys.byteorder != "little", reason="u16 payloads are little-endian"
+                ),
+            ),
+        ],
+    )
+    def test_bytes_payload_is_viewed_not_copied(self, rng, dtype):
+        image = random_image(rng, 4, 256, 256, dtype)
+        header, payload = write_bsq(image)
+        read, peak = traced_peak(read_bsq, header, payload)
+        for band in read.bands:
+            assert np.shares_memory(band.samples, np.frombuffer(payload, np.uint8))
+        assert peak < 0.1 * len(payload)
+        assert write_bsq(read) == (header, payload)
+
+    def test_writable_payload_is_copied(self, rng):
+        image = random_image(rng, 3, 5, 7, "u16")
+        header, payload = write_bsq(image)
+        buffer = bytearray(payload)
+        read = read_bsq(header, buffer)
+        buffer[:] = bytes(len(buffer))
+        for got, band in zip(read.bands, image.bands):
+            assert np.array_equal(got.samples, band.samples)
+
     def test_single_band_bsq_pgm_agree(self, rng):
         band = random_band(rng, 5, 7, "u16")
         header, payload = write_bsq(MultibandImage((band,)))
