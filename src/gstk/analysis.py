@@ -433,7 +433,7 @@ def rois_from_labels(labels: np.ndarray, names: list[str] | None = None) -> list
     for k in present:
         rows, cols = np.nonzero(arr == k)
         name = names[k - 1] if names else f"class {k}"
-        rois.append(Roi(name, np.column_stack([rows, cols])))
+        rois.append(Roi(name, _frozen(np.column_stack([rows, cols]))))
     return rois
 
 
@@ -507,7 +507,7 @@ def fit_classes(
     ``band_stats``.
     """
     mode = FitMode(mode)
-    if mode == FitMode.MEAN_SIGMA and k < 0:
+    if mode == FitMode.MEAN_SIGMA and not k >= 0:
         raise DomainError(f"mean_sigma k must be >= 0, got {k}")
     specs = []
     for roi in rois:
@@ -555,7 +555,7 @@ def classify(image: MultibandImage, specs: list[ClassSpec]) -> ClassificationMap
         for band, (lo, hi) in zip(image.bands, spec.bounds):
             inside &= (band.samples >= lo) & (band.samples <= hi)
         labels[inside & (labels == 0)] = index
-    return ClassificationMap(labels)
+    return ClassificationMap(_frozen(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -688,31 +688,6 @@ class ComparisonReport:
         }
 
 
-def _summarize_field(
-    mag: np.ndarray, moments: _Moments, i: int, threshold: float
-) -> FieldSummary:
-    flat = mag.reshape(-1)
-    hist = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
-    above = 0
-    # One reused mantissa and exponent block; float64 holds every uint32
-    # magnitude, so the exponents are exact.
-    mantissa = np.empty(min(flat.size, _BLOCK), dtype=np.float64)
-    exponent = np.empty(mantissa.size, dtype=np.int32)
-    for s in range(0, flat.size, _BLOCK):
-        block = flat[s : s + _BLOCK]
-        e = exponent[: block.size]
-        np.frexp(block, out=(mantissa[: block.size], e))
-        np.minimum(e, HISTOGRAM_BINS - 1, out=e)
-        hist += np.bincount(e, minlength=HISTOGRAM_BINS)
-        above += int(np.count_nonzero(block > threshold))
-    return FieldSummary(
-        moments.mean(i),
-        moments.stddev(i),
-        above / flat.size,
-        tuple(int(c) for c in hist),
-    )
-
-
 def compare_responses(
     a: ResponseField, b: ResponseField, threshold: float
 ) -> ComparisonReport:
@@ -731,24 +706,43 @@ def compare_responses(
         raise DomainError(f"threshold must be > 0, got {threshold}")
     mag_a, mag_b = _magnitudes(a.samples), _magnitudes(b.samples)
     moments = _moments([mag_a, mag_b])
-    sum_a = _summarize_field(mag_a, moments, 0, threshold)
-    sum_b = _summarize_field(mag_b, moments, 1, threshold)
+    n = moments.n
+    mags = (mag_a.reshape(-1), mag_b.reshape(-1))
+    flat_a, flat_b = a.samples.reshape(-1), b.samples.reshape(-1)
+    hists = np.zeros((2, HISTOGRAM_BINS), dtype=np.int64)
+    above, agree = [0, 0], 0
+    # One pass over both fields with one reused mantissa and exponent
+    # block; float64 holds every uint32 magnitude, so the exponents are
+    # exact.
+    mantissa = np.empty(min(n, _BLOCK), dtype=np.float64)
+    exponent = np.empty(mantissa.size, dtype=np.int32)
+    for s in range(0, n, _BLOCK):
+        for i, mag in enumerate(mags):
+            block = mag[s : s + _BLOCK]
+            e = exponent[: block.size]
+            np.frexp(block, out=(mantissa[: block.size], e))
+            np.minimum(e, HISTOGRAM_BINS - 1, out=e)
+            hists[i] += np.bincount(e, minlength=HISTOGRAM_BINS)
+            above[i] += int(np.count_nonzero(block > threshold))
+        signs = np.sign(flat_a[s : s + _BLOCK])
+        agree += int(np.count_nonzero(signs == np.sign(flat_b[s : s + _BLOCK])))
+    sum_a, sum_b = (
+        FieldSummary(
+            moments.mean(i), moments.stddev(i), above[i] / n, tuple(hists[i].tolist())
+        )
+        for i in range(2)
+    )
     if moments.scatter(0, 0) == 0 or moments.scatter(1, 1) == 0:
         corr = None
     else:
-        cov = moments.scatter(0, 1) / moments.n**2
+        cov = moments.scatter(0, 1) / n**2
         corr = cov / (sum_a.stddev_magnitude * sum_b.stddev_magnitude)
-    flat_a, flat_b = a.samples.reshape(-1), b.samples.reshape(-1)
-    agree = 0
-    for s in range(0, flat_a.size, _BLOCK):
-        signs = np.sign(flat_a[s : s + _BLOCK])
-        agree += int(np.count_nonzero(signs == np.sign(flat_b[s : s + _BLOCK])))
     return ComparisonReport(
         threshold=threshold,
         a=sum_a,
         b=sum_b,
         magnitude_correlation=corr,
-        sign_agreement=agree / flat_a.size,
+        sign_agreement=agree / n,
     )
 
 

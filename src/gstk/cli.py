@@ -45,6 +45,7 @@ from .raster import (
     StretchMode,
     bsq_paths,
     _bsq_parts,
+    _frozen,
     read_bsq,
     read_pgm,
     stretch,
@@ -87,7 +88,7 @@ def _checked(convert, accept, message: str):
 
 _positive_int = _checked(int, lambda v: v >= 1, "must be >= 1, got {}")
 _positive_float = _checked(float, lambda v: v > 0, "must be > 0, got {}")
-_nonnegative_float = _checked(float, lambda v: not v < 0, "must be >= 0, got {}")
+_nonnegative_float = _checked(float, lambda v: v >= 0, "must be >= 0, got {}")
 _percentile = _checked(
     float, lambda v: 0 <= v <= 100, "percentile must be in [0, 100], got {}"
 )
@@ -203,6 +204,10 @@ def _stage_image(stage: _Stage, path: str, image: MultibandImage) -> None:
     header, bands = _bsq_parts(image)
     stage.add_text(header_path, header)
     stage.add_writer(payload_path, lambda f: f.writelines(bands))
+
+
+def _stage_labels(stage: _Stage, path: str, cmap: analysis.ClassificationMap) -> None:
+    stage.add_bytes(path, write_pgm(analysis.classification_to_band(cmap)))
 
 
 def _stage_stack(stage: _Stage, path: str, fields: list[ResponseField]) -> None:
@@ -329,7 +334,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     specs = analysis.fit_classes(features, rois, analysis.FitMode(args.mode), args.k)
     cmap = analysis.classify(features, specs)
     stage = _Stage()
-    stage.add_bytes(args.out_map, write_pgm(analysis.classification_to_band(cmap)))
+    _stage_labels(stage, args.out_map, cmap)
     lines = [f"classified {cmap.width * cmap.height} pixels into {len(specs)} classes"]
     if args.truth:
         truth = _load_truth(args.truth)
@@ -367,9 +372,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     image, truth = synth.synth_scene(spec)
     stage = _Stage()
     _stage_image(stage, args.out_image, image)
-    stage.add_bytes(
-        args.out_truth, write_pgm(analysis.classification_to_band(truth))
-    )
+    _stage_labels(stage, args.out_truth, truth)
     stage.commit()
     print(
         f"scene {spec.width}x{spec.height} {spec.dtype}: "
@@ -387,7 +390,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     # Training set: the even-coordinate subgrid of the truth map. Held-out
     # pixels are everything else; accuracy below is over all labeled pixels.
     names = [sig.name for sig in spec.signatures]
-    counts = np.bincount(truth.labels[::2, ::2].ravel(), minlength=len(names) + 1)
+    subgrid = truth.labels[::2, ::2]
+    counts = np.bincount(subgrid.ravel(), minlength=len(names) + 1)
     untrained = [
         f"class {name!r} ({k}) has no training pixel on the even-row, "
         "even-column subgrid"
@@ -396,13 +400,15 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     ]
     if untrained:
         raise DomainError("; ".join(untrained))
-    training = np.zeros_like(truth.labels)
-    training[::2, ::2] = truth.labels[::2, ::2]
 
     features, resp_chosen = analysis._features(
         image, analysis.FeatureKind(args.features), kernel, boundary
     )
-    rois = analysis.rois_from_labels(training, names)
+    # Row-major order on the subgrid is row-major order on the full frame.
+    rois = [
+        analysis.Roi(roi.name, _frozen(2 * roi.pixels))
+        for roi in analysis.rois_from_labels(subgrid, names)
+    ]
     specs = analysis.fit_classes(features, rois, analysis.FitMode(args.mode), args.k)
     cmap = analysis.classify(features, specs)
     confusion = analysis.accuracy(cmap, truth, names)
@@ -421,15 +427,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     os.makedirs(out, exist_ok=True)
     stage = _Stage()
     _stage_image(stage, os.path.join(out, "scene.bsq"), image)
-    stage.add_bytes(
-        os.path.join(out, "truth.pgm"),
-        write_pgm(analysis.classification_to_band(truth)),
-    )
+    _stage_labels(stage, os.path.join(out, "truth.pgm"), truth)
     _stage_image(stage, os.path.join(out, "features.bsq"), features)
-    stage.add_bytes(
-        os.path.join(out, "map.pgm"),
-        write_pgm(analysis.classification_to_band(cmap)),
-    )
+    _stage_labels(stage, os.path.join(out, "map.pgm"), cmap)
     stage.add_text(os.path.join(out, "confusion.json"), _json_text(confusion.to_dict()))
     stage.add_text(os.path.join(out, "compare.json"), _json_text(compare.to_dict()))
     if oif_report is not None:

@@ -274,8 +274,8 @@ class SceneSpec:
                         f"class {sig.name!r} mean {m} outside [0, {top}]"
                     )
             for s in sig.sigmas:
-                if s < 0:
-                    raise DomainError(f"class {sig.name!r} has negative sigma {s}")
+                if not s >= 0:
+                    raise DomainError(f"class {sig.name!r} sigma {s} is not >= 0")
         n_classes = len(self.signatures)
         if not 1 <= self.background_class <= n_classes:
             raise DomainError(

@@ -185,8 +185,24 @@ def oracle_compare(a: np.ndarray, b: np.ndarray) -> dict:
     division of Python ints, as docs/formats.md states: mean S/N, stddev
     sqrt((N Q - S^2) / N^2), and correlation ((N P - S_a S_b) / N^2) /
     (s_a s_b), None when either N Q == S^2.
+
+    Per field, the magnitude histogram puts |x| in bin
+    ``min(|x|.bit_length(), 31)`` and the edge density counts |x| strictly
+    above a threshold of 1; sign agreement counts pixels whose signs match.
     """
     ma, mb = ([abs(int(v)) for v in f.ravel()] for f in (a, b))
+    histograms, edges = [], []
+    for m in (ma, mb):
+        hist = [0] * 32
+        for v in m:
+            hist[min(v.bit_length(), 31)] += 1
+        histograms.append(tuple(hist))
+        edges.append(sum(v > 1 for v in m) / len(m))
+
+    def sign(v: int) -> int:
+        return (v > 0) - (v < 0)
+
+    agree = sum(sign(int(x)) == sign(int(y)) for x, y in zip(a.ravel(), b.ravel()))
     n = len(ma)
     sa, sb = sum(ma), sum(mb)
     scatter_a = n * sum(v * v for v in ma) - sa * sa
@@ -196,7 +212,14 @@ def oracle_compare(a: np.ndarray, b: np.ndarray) -> dict:
     corr = None
     if scatter_a and scatter_b:
         corr = cross / n**2 / (std_a * std_b)
-    return {"mean": (sa / n, sb / n), "stddev": (std_a, std_b), "correlation": corr}
+    return {
+        "mean": (sa / n, sb / n),
+        "stddev": (std_a, std_b),
+        "correlation": corr,
+        "histogram": tuple(histograms),
+        "edge_density": tuple(edges),
+        "sign_agreement": agree / n,
+    }
 
 
 def traced_peak(fn, *args):

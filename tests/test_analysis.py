@@ -461,6 +461,14 @@ class TestRois:
         rois = rois_from_labels(np.array([[1, 2]]))
         assert [r.name for r in rois] == ["class 1", "class 2"]
 
+    def test_from_labels_peak_memory_below_two_and_a_half_pairs(self):
+        # np.nonzero's row and column arrays plus the stacked pairs the ROI
+        # keeps; the stack is not copied again.
+        ones = np.ones((1024, 1024), dtype=np.int32)
+        (roi,), peak = traced_peak(rois_from_labels, ones)
+        assert roi.pixels.nbytes == ones.size * 2 * 8
+        assert peak < 2.5 * roi.pixels.nbytes, peak / roi.pixels.nbytes
+
     def test_from_labels_requires_contiguous(self):
         with pytest.raises(DomainError, match="contiguous"):
             rois_from_labels(np.array([[1, 3]]))
@@ -521,6 +529,12 @@ class TestFitClasses:
         with pytest.raises(DomainError):
             fit_classes(img, [roi], FitMode.MEAN_SIGMA, k=-1.0)
 
+    def test_nan_k_rejected(self, rng):
+        img = random_image(rng, 2, 4, 4)
+        roi = Roi("r", np.array([[0, 0]]))
+        with pytest.raises(DomainError, match="k must be >= 0"):
+            fit_classes(img, [roi], FitMode.MEAN_SIGMA, k=math.nan)
+
 
 class TestClassify:
     def test_basic_boxes(self):
@@ -570,6 +584,14 @@ class TestClassify:
     def test_bad_bounds_rejected(self):
         with pytest.raises(DomainError):
             ClassSpec("inverted", ((5.0, 1.0),))
+
+    def test_peak_memory_below_two_frames(self, rng):
+        # The int32 label frame plus bool masks; the labels are not copied
+        # into the map.
+        img = random_image(rng, 1, 1024, 1024)
+        specs = [ClassSpec("low", ((0.0, 100.0),)), ClassSpec("high", ((50.0, 255.0),))]
+        cmap, peak = traced_peak(classify, img, specs)
+        assert peak < 2 * cmap.labels.nbytes, peak / cmap.labels.nbytes
 
 
 class TestAccuracy:
@@ -678,8 +700,14 @@ def _compare_cases(draw):
         for _ in range(2)
     )
     # None keeps the default block; 21 and 2 split 4 limb rows into blocks
-    # of 5 pixels and of 1.
-    return a, b, draw(st.sampled_from([None, 21, 2]))
+    # of 5 pixels and of 1. The histogram, edge and sign pass runs in blocks
+    # of 1, 7 or 64 pixels, or the default 2^16.
+    return (
+        a,
+        b,
+        draw(st.sampled_from([None, 21, 2])),
+        draw(st.sampled_from([None, 1, 7, 64])),
+    )
 
 
 def _check_compare_against_oracle(a, b):
@@ -688,6 +716,9 @@ def _check_compare_against_oracle(a, b):
     assert (rep.a.mean_magnitude, rep.b.mean_magnitude) == expected["mean"]
     assert (rep.a.stddev_magnitude, rep.b.stddev_magnitude) == expected["stddev"]
     assert rep.magnitude_correlation == expected["correlation"]
+    assert (rep.a.histogram, rep.b.histogram) == expected["histogram"]
+    assert (rep.a.edge_density, rep.b.edge_density) == expected["edge_density"]
+    assert rep.sign_agreement == expected["sign_agreement"]
 
 
 class TestCompareResponses:
@@ -697,10 +728,12 @@ class TestCompareResponses:
     @given(_compare_cases())
     @settings(max_examples=150, deadline=None)
     def test_equals_exact_oracle(self, case):
-        a, b, block_samples = case
+        a, b, block_samples, block = case
         with pytest.MonkeyPatch.context() as patch:
             if block_samples is not None:
                 patch.setattr(analysis, "_BLOCK_SAMPLES", block_samples)
+            if block is not None:
+                patch.setattr(analysis, "_BLOCK", block)
             _check_compare_against_oracle(a, b)
 
     def test_two_blocks_equal_exact_oracle(self, rng):

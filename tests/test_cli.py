@@ -491,6 +491,23 @@ class TestSynth:
         assert code == 3
 
 
+    @pytest.mark.parametrize("subcommand", ["synth", "pipeline"])
+    def test_nan_sigma_is_domain_error(self, tmp_path, capsys, subcommand):
+        doc = {
+            "width": 8, "height": 8, "dtype": "u8", "seed": 4,
+            "classes": [{"name": "bg", "means": [9], "sigmas": [float("nan")]}],
+        }
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        if subcommand == "synth":
+            outputs = ["--out-image", str(tmp_path / "i.bsq"),
+                       "--out-truth", str(tmp_path / "t.pgm")]
+        else:
+            outputs = ["--out-dir", str(tmp_path / "run")]
+        code = main([subcommand, "--spec", str(tmp_path / "spec.json"), *outputs])
+        assert code == 3
+        assert "sigma nan is not >= 0" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
     def test_oversized_spec_is_domain_error(self, tmp_path, capsys):
         doc = {
             "width": 10**6, "height": 10**6, "dtype": "u8", "seed": 4,
@@ -506,6 +523,30 @@ class TestSynth:
 
 
 class TestPipeline:
+    def test_map_equals_classify_on_subgrid_truth(self, tmp_path):
+        # The pipeline trains on the truth's even-row, even-column subgrid;
+        # gstk classify given that subgrid as a label raster must agree.
+        (tmp_path / "spec.json").write_text(scene_spec_to_json(separable_scene_spec()))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--spec", str(tmp_path / "spec.json"),
+                     "--out-dir", str(out)]) == 0
+        truth = read_pgm((out / "truth.pgm").read_bytes()).samples
+        training = np.zeros_like(truth)
+        training[::2, ::2] = truth[::2, ::2]
+        assert not np.array_equal(training, truth)
+        (tmp_path / "training.pgm").write_bytes(write_pgm(Band(training)))
+        code = main(["classify", "--in", str(out / "scene.hdr"),
+                     "--rois", str(tmp_path / "training.pgm"),
+                     "--out-map", str(tmp_path / "m.pgm"),
+                     "--truth", str(out / "truth.pgm"),
+                     "--out-confusion", str(tmp_path / "c.json")])
+        assert code == 0
+        assert (tmp_path / "m.pgm").read_bytes() == (out / "map.pgm").read_bytes()
+        # Class names differ by design: the spec's against "class k".
+        ours = json.loads((tmp_path / "c.json").read_text())
+        theirs = json.loads((out / "confusion.json").read_text())
+        assert ours["counts"] == theirs["counts"]
+
     def test_produces_all_artifacts(self, tmp_path, capsys):
         (tmp_path / "spec.json").write_text(scene_spec_to_json(separable_scene_spec()))
         out = tmp_path / "run"
@@ -602,6 +643,11 @@ class TestExitCodes:
             (["compare", "--a", "a.npy", "--b", "b.npy", "--out", "o.json",
               "--threshold", "0"],
              "argument --threshold: must be > 0, got 0.0"),
+            (["classify", "--in", "i.pgm", "--rois", "r.json", "--out-map", "m.pgm",
+              "--k", "nan"],
+             "argument --k: must be >= 0, got nan"),
+            (["pipeline", "--spec", "s.json", "--out-dir", "run", "--k", "nan"],
+             "argument --k: must be >= 0, got nan"),
         ],
     )
     def test_bad_option_value_is_usage(self, capsys, argv, message):

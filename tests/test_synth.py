@@ -217,6 +217,13 @@ class TestSceneSpecValidation:
         with pytest.raises(DomainError, match="sigma"):
             _one_class_spec(signatures=(ClassSignature("x", (1.0,), (-1.0,)),))
 
+    def test_rejects_nan_sigma(self):
+        with pytest.raises(DomainError, match="sigma nan"):
+            _one_class_spec(signatures=(ClassSignature("x", (1.0,), (math.nan,)),))
+
+    def test_accepts_infinite_sigma(self):
+        _one_class_spec(signatures=(ClassSignature("x", (1.0,), (math.inf,)),))
+
     def test_rejects_ragged_signature(self):
         with pytest.raises(DomainError):
             _one_class_spec(signatures=(ClassSignature("x", (1.0, 2.0), (0.0,)),))
