@@ -455,8 +455,8 @@ class ClassSpec:
 
     def __post_init__(self) -> None:
         for lo, hi in self.bounds:
-            if lo > hi:
-                raise DomainError(f"class {self.name!r}: bound lo {lo} > hi {hi}")
+            if not lo <= hi:
+                raise DomainError(f"class {self.name!r}: need lo <= hi, got {lo}, {hi}")
 
 
 @dataclass(frozen=True)
@@ -542,6 +542,13 @@ def classify(image: MultibandImage, specs: list[ClassSpec]) -> ClassificationMap
 
     Pixels matching no box get label 0. The first-listed class wins when
     boxes overlap, which makes the result order-auditable.
+
+    Samples are integers, so a closed interval ``[lo, hi]`` on a band holds
+    the same samples as ``[ceil lo, floor hi]``. Both ends are first clamped
+    into ``[-1, dtype max + 1]``, which keeps infinite and out-of-range
+    bounds exact, and each band is then compared in its own dtype. Classes
+    are painted from last to first, so the first listed one is painted
+    over every later one.
     """
     for spec in specs:
         if len(spec.bounds) != image.n_bands:
@@ -550,11 +557,12 @@ def classify(image: MultibandImage, specs: list[ClassSpec]) -> ClassificationMap
                 f"{image.n_bands} bands"
             )
     labels = np.zeros((image.height, image.width), dtype=np.int32)
-    for index, spec in enumerate(specs, start=1):
+    for index, spec in reversed(list(enumerate(specs, start=1))):
         inside = np.ones(labels.shape, dtype=bool)
         for band, (lo, hi) in zip(image.bands, spec.bounds):
-            inside &= (band.samples >= lo) & (band.samples <= hi)
-        labels[inside & (labels == 0)] = index
+            inside &= band.samples >= math.ceil(min(max(lo, -1), band.dtype_max + 1))
+            inside &= band.samples <= math.floor(min(max(hi, -1), band.dtype_max + 1))
+        labels[inside] = index
     return ClassificationMap(_frozen(labels))
 
 

@@ -40,12 +40,12 @@ from .kernels import (
     smoothing_template,
 )
 from .raster import (
+    Band,
     MultibandImage,
     ResponseField,
     StretchMode,
     bsq_paths,
     _bsq_parts,
-    _frozen,
     read_bsq,
     read_pgm,
     stretch,
@@ -261,12 +261,21 @@ def _load_rois(path: str, image: MultibandImage) -> list[analysis.Roi]:
         return analysis.rois_from_json(text, (image.height, image.width))
     with open(path, "rb") as f:
         band = read_pgm(f.read())
+    if (band.width, band.height) != (image.width, image.height):
+        raise DomainError(
+            f"{path}: ROI raster is {band.width}x{band.height}, "
+            f"the image is {image.width}x{image.height}"
+        )
     return analysis.rois_from_labels(band.samples)
 
 
-def _load_truth(path: str) -> analysis.ClassificationMap:
+def _load_truth(path: str, n_classes: int) -> analysis.ClassificationMap:
+    """A truth label raster whose labels are 0..``n_classes``."""
     with open(path, "rb") as f:
         band = read_pgm(f.read())
+    top = int(band.samples.max(initial=0))
+    if top > n_classes:
+        raise DomainError(f"{path}: truth label {top} exceeds the {n_classes} classes")
     return analysis.ClassificationMap(band.samples.astype(np.int32))
 
 
@@ -337,7 +346,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     _stage_labels(stage, args.out_map, cmap)
     lines = [f"classified {cmap.width * cmap.height} pixels into {len(specs)} classes"]
     if args.truth:
-        truth = _load_truth(args.truth)
+        truth = _load_truth(args.truth, len(rois))
         confusion = analysis.accuracy(cmap, truth, [r.name for r in rois])
         if args.out_confusion:
             stage.add_text(args.out_confusion, _json_text(confusion.to_dict()))
@@ -404,12 +413,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     features, resp_chosen = analysis._features(
         image, analysis.FeatureKind(args.features), kernel, boundary
     )
-    # Row-major order on the subgrid is row-major order on the full frame.
-    rois = [
-        analysis.Roi(roi.name, _frozen(2 * roi.pixels))
-        for roi in analysis.rois_from_labels(subgrid, names)
-    ]
-    specs = analysis.fit_classes(features, rois, analysis.FitMode(args.mode), args.k)
+    # Fit on the features' matching subgrid. The compact copy and the ROIs
+    # are dropped before the full frame is classified, to keep peak memory.
+    compact = MultibandImage(tuple(Band(b.samples[::2, ::2]) for b in features.bands))
+    rois = analysis.rois_from_labels(subgrid, names)
+    specs = analysis.fit_classes(compact, rois, analysis.FitMode(args.mode), args.k)
+    del compact, rois
     cmap = analysis.classify(features, specs)
     confusion = analysis.accuracy(cmap, truth, names)
 

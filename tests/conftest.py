@@ -222,6 +222,27 @@ def oracle_compare(a: np.ndarray, b: np.ndarray) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# Classification oracle
+
+
+def oracle_classify(image: MultibandImage, specs) -> np.ndarray:
+    """Parallelepiped labels from the class boxes' float bounds as given.
+
+    Each band is compared against the bounds in float64, and the classes
+    are painted first to last, each only on pixels no earlier class took,
+    so the first listed class whose closed box holds a pixel labels it.
+    """
+    labels = np.zeros((image.height, image.width), dtype=np.int32)
+    for index, spec in enumerate(specs, start=1):
+        inside = np.ones(labels.shape, dtype=bool)
+        for band, (lo, hi) in zip(image.bands, spec.bounds):
+            samples = band.samples.astype(np.float64)
+            inside &= (samples >= float(lo)) & (samples <= float(hi))
+        labels[inside & (labels == 0)] = index
+    return labels
+
+
 def traced_peak(fn, *args):
     """``fn(*args)`` and the peak bytes traced by ``tracemalloc`` while it ran."""
     tracemalloc.start()

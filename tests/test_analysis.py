@@ -37,6 +37,7 @@ import gstk.analysis as analysis
 from gstk.analysis import classification_to_band
 from conftest import (
     forced_oif_spec,
+    oracle_classify,
     oracle_compare,
     random_band,
     random_image,
@@ -536,7 +537,93 @@ class TestFitClasses:
             fit_classes(img, [roi], FitMode.MEAN_SIGMA, k=math.nan)
 
 
+@st.composite
+def _classify_cases(draw):
+    """A u8 or u16 image and 1 to 12 class boxes over it.
+
+    Samples crowd both ends of the dtype range. A bound sits on a drawn
+    sample or a fraction or one step off it, or is any fraction in range,
+    infinite, below 0 or above the dtype maximum; some intervals hold no
+    integer at all.
+    """
+    dtype = draw(st.sampled_from([np.uint8, np.uint16]))
+    top = int(np.iinfo(dtype).max)
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    sample = st.one_of(
+        st.integers(0, 3), st.integers(top - 3, top), st.integers(0, top)
+    )
+    planes = [
+        np.array(
+            draw(st.lists(sample, min_size=height * width, max_size=height * width)),
+            dtype=dtype,
+        ).reshape(height, width)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    values = sorted({int(v) for p in planes for v in p.ravel()})
+    near = st.builds(
+        lambda v, d: v + d,
+        st.sampled_from(values),
+        st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0]),
+    )
+    bound = st.one_of(
+        near,
+        st.floats(-2.0, top + 2.0),
+        st.sampled_from(
+            [-math.inf, -1e300, -1.5, -1.0, top + 1.0, top + 1.5, 1e300, math.inf]
+        ),
+    )
+
+    def interval():
+        if draw(st.integers(0, 4)) == 0:
+            # [n + 0.25, n + 0.75] holds no integer.
+            n = draw(st.one_of(st.sampled_from(values), st.integers(-2, top + 1)))
+            return (n + 0.25, n + 0.75)
+        return tuple(sorted((draw(bound), draw(bound))))
+
+    specs = [
+        ClassSpec(f"c{c}", tuple(interval() for _ in planes))
+        for c in range(draw(st.integers(1, 12)))
+    ]
+    return MultibandImage(tuple(Band(p) for p in planes)), specs
+
+
 class TestClassify:
+    @given(_classify_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_float_bound_oracle(self, case):
+        image, specs = case
+        expected = oracle_classify(image, specs)
+        assert np.array_equal(classify(image, specs).labels, expected)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_integer_box_edge_cases(self, dtype):
+        top = int(np.iinfo(dtype).max)
+        img = _image([[0, 1, 2, 3, top - 1, top]], dtype=dtype)
+        cases = [
+            ((2.5, 3.5), [0, 0, 0, 1, 0, 0]),  # fractional ends round inward
+            ((2.25, 2.75), [0, 0, 0, 0, 0, 0]),  # no integer inside
+            ((-math.inf, math.inf), [1, 1, 1, 1, 1, 1]),
+            ((-math.inf, -0.5), [0, 0, 0, 0, 0, 0]),  # below 0
+            ((-1.5, 0.0), [1, 0, 0, 0, 0, 0]),
+            ((top - 0.5, 1e300), [0, 0, 0, 0, 0, 1]),
+            ((top + 0.5, math.inf), [0, 0, 0, 0, 0, 0]),  # above dtype_max
+        ]
+        for bounds, expected in cases:
+            specs = [ClassSpec("c", (bounds,))]
+            assert classify(img, specs).labels.tolist() == [expected], bounds
+            assert oracle_classify(img, specs).tolist() == [expected], bounds
+
+    def test_more_than_eight_classes_first_wins(self):
+        img = _image([list(range(12))])
+        # Class c + 1 holds samples 0..c, so sample v goes to class v + 1,
+        # the first listed of the classes holding it; the last class holds
+        # nothing.
+        specs = [ClassSpec(f"c{c}", ((-math.inf, c + 0.5),)) for c in range(12)]
+        specs.append(ClassSpec("none", ((11.5, 11.9),)))
+        labels = classify(img, specs).labels
+        assert labels.tolist() == [list(range(1, 13))]
+        assert np.array_equal(labels, oracle_classify(img, specs))
+
     def test_basic_boxes(self):
         img = _image([[10, 100, 200]])
         specs = [
@@ -584,6 +671,13 @@ class TestClassify:
     def test_bad_bounds_rejected(self):
         with pytest.raises(DomainError):
             ClassSpec("inverted", ((5.0, 1.0),))
+
+    @pytest.mark.parametrize(
+        "bounds", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)]
+    )
+    def test_nan_bound_rejected(self, bounds):
+        with pytest.raises(DomainError, match="lo <= hi"):
+            ClassSpec("x", (bounds,))
 
     def test_peak_memory_below_two_frames(self, rng):
         # The int32 label frame plus bool masks; the labels are not copied

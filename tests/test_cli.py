@@ -26,10 +26,18 @@ from gstk import (
     write_bsq,
     write_pgm,
 )
-from gstk.analysis import classification_to_band, oif_report_dict
+from gstk.analysis import (
+    FitMode,
+    Roi,
+    classification_to_band,
+    fit_classes,
+    oif_report_dict,
+    rois_from_labels,
+)
 from gstk.cli import _Stage, main
 from conftest import (
     forced_oif_spec,
+    oracle_classify,
     random_band,
     random_image,
     separable_scene_spec,
@@ -347,6 +355,42 @@ class TestClassify:
         assert "outside the 80x80 image" in capsys.readouterr().err
         assert not (tmp_path / "map.pgm").exists()
 
+    def test_roi_raster_of_another_size_is_domain_error(self, tmp_path, capsys):
+        image = tmp_path / "img.pgm"
+        image.write_bytes(write_pgm(Band(np.arange(64, dtype=np.uint8).reshape(8, 8))))
+        rois = tmp_path / "small.pgm"
+        rois.write_bytes(write_pgm(Band(np.ones((4, 4), dtype=np.uint8))))
+        code = main(["classify", "--in", str(image), "--rois", str(rois),
+                     "--features", "raw", "--out-map", str(tmp_path / "map.pgm")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "4x4" in err and "8x8" in err
+        assert not (tmp_path / "map.pgm").exists()
+
+    @pytest.mark.parametrize("label", [3, 65535])
+    def test_truth_label_above_class_count_is_domain_error(
+        self, tmp_path, capsys, label
+    ):
+        # Refused before the (label + 1)^2 confusion counts are allocated.
+        image = tmp_path / "img.pgm"
+        image.write_bytes(write_pgm(Band(np.arange(64, dtype=np.uint8).reshape(8, 8))))
+        rois = np.zeros((8, 8), dtype=np.uint16)
+        rois[:4], rois[4:] = 1, 2
+        (tmp_path / "rois.pgm").write_bytes(write_pgm(Band(rois)))
+        truth = rois.copy()
+        truth[7, 7] = label
+        (tmp_path / "truth.pgm").write_bytes(write_pgm(Band(truth)))
+        code = main(["classify", "--in", str(image),
+                     "--rois", str(tmp_path / "rois.pgm"),
+                     "--truth", str(tmp_path / "truth.pgm"),
+                     "--features", "raw",
+                     "--out-map", str(tmp_path / "map.pgm"),
+                     "--out-confusion", str(tmp_path / "c.json")])
+        assert code == 3
+        assert f"truth label {label} exceeds the 2 classes" in capsys.readouterr().err
+        assert not (tmp_path / "map.pgm").exists()
+        assert not (tmp_path / "c.json").exists()
+
     def test_confusion_requires_truth(self, tmp_path):
         _write_scene(tmp_path, separable_scene_spec())
         code = main(
@@ -546,6 +590,26 @@ class TestPipeline:
         ours = json.loads((tmp_path / "c.json").read_text())
         theirs = json.loads((out / "confusion.json").read_text())
         assert ours["counts"] == theirs["counts"]
+
+    def test_fractional_bounds_map_equals_float_oracle(self, tmp_path):
+        # mean_sigma boxes have fractional bounds, which classify rounds
+        # inward to integers; the map must equal the one the float bounds
+        # give for the written features.
+        (tmp_path / "spec.json").write_text(scene_spec_to_json(separable_scene_spec()))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--spec", str(tmp_path / "spec.json"),
+                     "--out-dir", str(out), "--features", "raw",
+                     "--mode", "mean_sigma"]) == 0
+        features = gstk.read_bsq(
+            (out / "features.hdr").read_text(), (out / "features.bsq").read_bytes()
+        )
+        truth = read_pgm((out / "truth.pgm").read_bytes()).samples
+        rois = [Roi(r.name, 2 * r.pixels) for r in rois_from_labels(truth[::2, ::2])]
+        specs = fit_classes(features, rois, FitMode.MEAN_SIGMA, 2.0)
+        assert any(lo % 1 and hi % 1 for s in specs for lo, hi in s.bounds)
+        labels = read_pgm((out / "map.pgm").read_bytes()).samples
+        assert len(np.unique(labels)) > 2
+        assert np.array_equal(labels, oracle_classify(features, specs))
 
     def test_produces_all_artifacts(self, tmp_path, capsys):
         (tmp_path / "spec.json").write_text(scene_spec_to_json(separable_scene_spec()))
