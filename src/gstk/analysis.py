@@ -90,7 +90,7 @@ class _Moments(NamedTuple):
 
 
 def _moments(planes: Sequence[np.ndarray]) -> _Moments:
-    """Exact moments of equally sized, non-empty u8, u16 or uint32 arrays.
+    """Exact moments of equally sized u8, u16 or uint32 arrays.
 
     All planes share one dtype. A uint32 plane's limbs are written block
     by block, so no full-frame limb plane is built.
@@ -128,13 +128,7 @@ def _moments(planes: Sequence[np.ndarray]) -> _Moments:
     return _Moments(n, sums.tolist(), gram.tolist())
 
 
-def _require_nonempty(raster: Band | MultibandImage) -> None:
-    if raster.width == 0 or raster.height == 0:
-        raise DomainError("cannot compute statistics of an empty band")
-
-
 def band_stats(band: Band) -> BandStats:
-    _require_nonempty(band)
     moments = _moments([band.samples])
     return BandStats(
         mean=moments.mean(0),
@@ -188,7 +182,6 @@ def correlation(image: MultibandImage) -> CorrelationMatrix:
     n = image.n_bands
     if n < 2:
         raise DomainError("correlation needs at least 2 bands")
-    _require_nonempty(image)
     moments = _moments([b.samples for b in image.bands])
     stds = tuple(moments.stddev(i) for i in range(n))
     flagged = tuple(i for i in range(n) if moments.scatter(i, i) == 0)
@@ -251,7 +244,6 @@ def oif_rank(image: MultibandImage) -> list[OifScore]:
     make the index undefined and are reported by name.
     """
     _require_triples(image.n_bands)
-    _require_nonempty(image)
     triples, scores = _rank_triples(image, correlation(image))
     return [OifScore(tuple(t), s) for t, s in zip(triples.tolist(), scores.tolist())]
 
@@ -340,7 +332,6 @@ class OifReport:
 
 def oif_report(image: MultibandImage) -> OifReport:
     """Rank every band triple of ``image`` and keep what the ranking used."""
-    _require_nonempty(image)
     corr = correlation(image)
     triples, scores = _rank_triples(image, corr)
     bands = tuple(image.name_of(i) for i in range(image.n_bands))
@@ -429,6 +420,8 @@ def rois_from_labels(labels: np.ndarray, names: list[str] | None = None) -> list
         raise DomainError("label raster contains no labeled pixels")
     if present != list(range(1, len(present) + 1)):
         raise DomainError(f"labels must be contiguous 1..K, got {present}")
+    if names and len(names) < len(present):
+        raise DomainError(f"label {len(names) + 1} has no name ({len(names)} given)")
     rois = []
     for k in present:
         rows, cols = np.nonzero(arr == k)
@@ -461,7 +454,7 @@ class ClassSpec:
 
 @dataclass(frozen=True)
 class ClassificationMap:
-    """Per-pixel class labels; 0 means unclassified."""
+    """Per-pixel class labels of a non-empty raster; 0 means unclassified."""
 
     labels: np.ndarray
 
@@ -471,7 +464,11 @@ class ClassificationMap:
             raise DomainError("labels must be 2-D")
         if not np.issubdtype(arr.dtype, np.integer):
             raise DomainError("labels must be integers")
-        if arr.size and int(arr.min()) < 0:
+        if 0 in arr.shape:
+            raise DomainError(
+                f"labels are empty ({arr.shape[1]}x{arr.shape[0]} pixels)"
+            )
+        if int(arr.min()) < 0:
             raise DomainError("labels must be non-negative")
         object.__setattr__(self, "labels", _readonly(arr.astype(np.int32, copy=False)))
 
@@ -486,7 +483,7 @@ class ClassificationMap:
 
 def classification_to_band(cmap: ClassificationMap) -> Band:
     """Store a label map in a Band (u8 when labels fit, else u16)."""
-    top = int(cmap.labels.max()) if cmap.labels.size else 0
+    top = int(cmap.labels.max())
     if top > 65535:
         raise DomainError(f"label {top} does not fit a u16 band")
     dtype = np.uint8 if top <= 255 else np.uint16
@@ -624,14 +621,16 @@ def accuracy(
             f"dimension mismatch: map {predicted.width}x{predicted.height} vs "
             f"truth {truth.width}x{truth.height}"
         )
-    mask = truth.labels > 0
-    if not mask.any():
+    full = int(max(truth.labels.max(), predicted.labels.max())) + 1
+    codes = np.multiply(truth.labels, full, dtype=np.int64)
+    codes += predicted.labels
+    counts = np.bincount(codes.reshape(-1), minlength=full * full).reshape(full, full)
+    counts[0] = 0  # truth 0 is not evaluated
+    if not counts.any():
         raise DomainError("empty evaluation set: truth has no labeled pixels")
-    t = truth.labels[mask].astype(np.int64)
-    p = predicted.labels[mask].astype(np.int64)
-    n_classes = int(max(t.max(), p.max()))
-    side = n_classes + 1
-    counts = np.bincount(t * side + p, minlength=side * side).reshape(side, side)
+    # The matrix spans the labels of evaluated pixels only.
+    side = int(np.max(np.nonzero(counts))) + 1
+    counts = counts[:side, :side]
     return ConfusionMatrix(counts, tuple(class_names) if class_names else None)
 
 
@@ -708,8 +707,6 @@ def compare_responses(
         raise DomainError(
             f"dimension mismatch: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    if a.width == 0 or a.height == 0:
-        raise DomainError("cannot compare empty fields")
     if not threshold > 0:
         raise DomainError(f"threshold must be > 0, got {threshold}")
     mag_a, mag_b = _magnitudes(a.samples), _magnitudes(b.samples)

@@ -273,7 +273,7 @@ def _load_truth(path: str, n_classes: int) -> analysis.ClassificationMap:
     """A truth label raster whose labels are 0..``n_classes``."""
     with open(path, "rb") as f:
         band = read_pgm(f.read())
-    top = int(band.samples.max(initial=0))
+    top = int(band.samples.max())
     if top > n_classes:
         raise DomainError(f"{path}: truth label {top} exceeds the {n_classes} classes")
     return analysis.ClassificationMap(band.samples.astype(np.int32))

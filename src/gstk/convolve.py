@@ -86,8 +86,6 @@ def convolve(
     sum into the int32 result; otherwise it sums them in the int32 result
     directly.
     """
-    if band.width == 0 or band.height == 0:
-        raise DomainError("cannot convolve an empty band")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     worst = kernel.abs_sum() * band.dtype_max

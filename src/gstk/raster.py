@@ -48,7 +48,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Band:
-    """A single-channel unsigned raster, row-major, u8 or u16."""
+    """A non-empty single-channel unsigned raster, row-major, u8 or u16."""
 
     samples: np.ndarray
 
@@ -58,6 +58,8 @@ class Band:
             raise DomainError(f"band samples must be 2-D, got {arr.ndim}-D")
         if arr.dtype not in (np.uint8, np.uint16):
             raise DomainError(f"band dtype must be uint8 or uint16, got {arr.dtype}")
+        if 0 in arr.shape:
+            raise DomainError(f"band is empty ({arr.shape[1]}x{arr.shape[0]} pixels)")
         object.__setattr__(self, "samples", _readonly(arr))
 
     @property
@@ -124,7 +126,7 @@ class MultibandImage:
 
 @dataclass(frozen=True)
 class ResponseField:
-    """Signed 32-bit raster holding raw convolution output, pre-stretch."""
+    """Non-empty signed 32-bit raster of raw convolution output, pre-stretch."""
 
     samples: np.ndarray
 
@@ -134,6 +136,8 @@ class ResponseField:
             raise DomainError(f"response samples must be 2-D, got {arr.ndim}-D")
         if arr.dtype != np.int32:
             raise DomainError(f"response dtype must be int32, got {arr.dtype}")
+        if 0 in arr.shape:
+            raise DomainError(f"field is empty ({arr.shape[1]}x{arr.shape[0]} pixels)")
         object.__setattr__(self, "samples", _readonly(arr))
 
     @property
@@ -406,8 +410,6 @@ def stretch(
     degenerate (constant) window maps to all zeros; one too narrow for
     ``255 / (hi - lo)`` to be finite raises DomainError.
     """
-    if field.width == 0 or field.height == 0:
-        raise DomainError("cannot stretch an empty field")
     if not (0 <= lo_pct < hi_pct <= 100):
         raise DomainError(f"bad percentiles lo={lo_pct} hi={hi_pct}")
     flat = field.samples.reshape(-1)

@@ -476,6 +476,10 @@ class TestRois:
         with pytest.raises(DomainError, match="no labeled"):
             rois_from_labels(np.zeros((2, 2), dtype=int))
 
+    def test_from_labels_requires_a_name_per_label(self):
+        with pytest.raises(DomainError, match="label 3 has no name"):
+            rois_from_labels(np.array([[1, 2, 3]]), ["a", "b"])
+
 
 class TestFitClasses:
     def test_minmax_single_pixel(self, rng):
@@ -715,6 +719,7 @@ class TestAccuracy:
         truth = ClassificationMap(np.array([[0, 1]], dtype=np.int32))
         pred = ClassificationMap(np.array([[2, 1]], dtype=np.int32))
         cm = accuracy(pred, truth)
+        assert cm.counts.shape == (2, 2)  # label 2 is never evaluated
         assert cm.total == 1
         assert cm.overall_accuracy == 1.0
 
@@ -924,8 +929,8 @@ class TestCompareResponses:
             compare_responses(a, b, 1.0)
         with pytest.raises(DomainError, match="threshold"):
             compare_responses(a, a, 0.0)
-        empty = self._field(np.zeros((0, 2)))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="empty"):
+            empty = self._field(np.zeros((0, 2)))
             compare_responses(empty, empty, 1.0)
 
     def test_to_dict_schema(self, rng):

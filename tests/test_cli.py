@@ -826,6 +826,39 @@ class TestMalformedInputs:
         assert list(out.iterdir()) == []
 
 
+class TestEmptyInputs:
+    """A zero-width input is refused when its raster is built (exit 3)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convolve", "--in", "{src}/e.pgm", "--out", "{d}/o.pgm"],
+            ["oif", "--in", "{src}/e.bsq", "--out", "{d}/oif.json"],
+            ["classify", "--in", "{src}/e.bsq", "--rois", "{in}",
+             "--out-map", "{d}/m.pgm"],
+            ["compare", "--a", "{src}/e.npy", "--b", "{src}/e.npy",
+             "--threshold", "1", "--out", "{d}/c.json"],
+        ],
+        ids=["convolve-pgm", "oif-bsq", "classify-bsq", "compare-npy"],
+    )
+    def test_is_domain_error(self, tmp_path, capsys, argv):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "e.pgm").write_bytes(b"P5\n0 4\n255\n")
+        (src / "e.hdr").write_text(
+            "magic=GSTK1\nwidth=0\nheight=4\nbands=3\ndtype=u8\nbyteorder=le\n"
+        )
+        (src / "e.bsq").write_bytes(b"")
+        np.save(src / "e.npy", np.zeros((4, 0), dtype=np.int32))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = _fill(argv, src=str(src), d=str(out), **{"in": _tiny_pgm(tmp_path)})
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "domain error" in err and "empty (0x4 pixels)" in err
+        assert list(out.iterdir()) == []
+
+
 # Per input kind: the fuzzed file, prefixes that carry the random tail past
 # the first format check, and a command that reads the file.
 _FUZZ = {

@@ -260,9 +260,8 @@ class TestMemory:
 
 class TestValidation:
     def test_empty_band_rejected(self):
-        band = Band(np.zeros((0, 4), dtype=np.uint8))
         with pytest.raises(DomainError, match="empty"):
-            convolve(band, smoothing_template())
+            convolve(Band(np.zeros((0, 4), dtype=np.uint8)), smoothing_template())
 
     def test_bad_workers_rejected(self, rng):
         band = random_band(rng, 4, 4)

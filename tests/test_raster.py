@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gstk import (
     Band,
+    ClassificationMap,
     DomainError,
     FileFormatError,
     MultibandImage,
@@ -113,6 +114,17 @@ class TestResponseField:
         field = ResponseField(src)
         src[0, 0] = 9
         assert field.samples[0, 0] == 0
+
+
+@pytest.mark.parametrize("height, width", [(0, 3), (3, 0)])
+@pytest.mark.parametrize(
+    "container, dtype",
+    [(Band, np.uint8), (ResponseField, np.int32), (ClassificationMap, np.int32)],
+    ids=["Band", "ResponseField", "ClassificationMap"],
+)
+def test_containers_refuse_empty(container, dtype, height, width):
+    with pytest.raises(DomainError, match=rf"empty \({width}x{height} pixels\)"):
+        container(np.zeros((height, width), dtype=dtype))
 
 
 class TestPgm:
@@ -486,9 +498,8 @@ class TestStretch:
         assert (np.diff(flat_out[order].astype(int)) >= 0).all()
 
     def test_empty_field_rejected(self):
-        f = ResponseField(np.zeros((0, 3), dtype=np.int32))
-        with pytest.raises(DomainError):
-            stretch(f)
+        with pytest.raises(DomainError, match="empty"):
+            stretch(ResponseField(np.zeros((0, 3), dtype=np.int32)))
 
     def test_bad_percentiles(self):
         f = ResponseField(np.zeros((2, 2), dtype=np.int32))
