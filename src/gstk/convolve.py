@@ -17,7 +17,6 @@ and for any worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
 
 import numpy as np
@@ -130,6 +129,9 @@ def convolve(
         for r0, r1 in tiles:
             run_tile(r0, r1)
     else:
+        # Imported here: the pool costs every gstk start about 6 ms to import.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda t: run_tile(*t), tiles))
     return ResponseField(_frozen(out))

@@ -15,7 +15,11 @@ section of docs/formats.md).
 
 Rendering evaluates each band in contiguous chunks of pixels in row-major
 order, so no full-frame temporary is built; by the counter-based layout
-this gives the same bytes as rendering the whole band at once.
+this gives the same bytes as rendering the whole band at once. Within a
+chunk the cosine is taken in float32, and every pixel whose rounding that
+leaves in doubt, by the error bound proved at ``_COS_ERR``, is evaluated
+again in float64 by ``gaussian_stream``: the bytes stay those of the
+float64 formula.
 """
 
 from __future__ import annotations
@@ -38,11 +42,39 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # 1 GiB of int32 labels.
 MAX_SCENE_SAMPLES = 2**28
 
-# Pixels per gaussian_stream call in synth_scene, measured on 1536x1536x6
-# u8 and 256x256x96 u16 scenes: 4096 or fewer pay Python overhead on every
-# call, and at 32768 the 512 KiB word buffer is page-faulted in anew on
-# every call.
+# Pixels per chunk in synth_scene. Measured with the float32 cosine on the
+# perfbench pipeline scenes (seeds 1-3, 15 runs each, 2-vCPU Xeon), median
+# synth_scene seconds for 16384 / 32768 / 65536: 1536x1536x6 u8 0.54 /
+# 0.51 / 0.52, 256x256x96 u16 0.27 / 0.26 / 0.27, every gap inside the
+# quartile spread. Chunks of 4096 or fewer pay Python overhead on every
+# call.
 _CHUNK = 16384
+
+# Float32 cosine filter. synth_scene computes each pixel's
+# x = fl(fl(fl(fl(r * c) * sigma) + mean) + 0.5), whose floor is the pixel
+# before the clamp, from gaussian_stream's float64 radius r and angle a,
+# but with c' = cos32(float32(a)) in place of c = cos64(a). Bound on
+# |x' - x|, with R = _RADIUS_MAX >= r and mean <= top, the dtype maximum:
+#
+# 1. Angle rounding: a = 2*pi*u lies in (0, 8), where float32 values are
+#    at most 2^-21 apart, so |float32(a) - a| <= 2^-22; cos is 1-Lipschitz.
+# 2. Library error: float32 cos errs by a few float32 ulps of a value
+#    <= 1, at most 2^-22, and float64 cos by a few 2^-53. With part 1,
+#    |c' - c| <= 2^-22 + 2^-22 + 2^-50 < _COS_ERR / 4.
+#    test_float32_cosine_accuracy holds parts 1 and 2 together to
+#    _COS_ERR / 8 over 10^7 angles (2^-21.9 measured with numpy 2.4).
+# 3. Float64 rounding: |c|, |c'| <= 1, so each of the four roundings on
+#    either side errs by at most 2^-53 of a magnitude <= sigma*R + top + 1:
+#    4 * 2^-53 per side, 2^-50 for both. Doubling that to 2^-49 also
+#    covers computing the margin and the limit themselves (a few 2^-53).
+#
+# So |x' - x| <= sigma*R*_COS_ERR + 2^-49 * (sigma*R + top + 1). Where x'
+# lies farther than that from every integer, no integer lies between x and
+# x', and floor(x') = floor(x); every other pixel goes through
+# gaussian_stream.
+_COS_ERR = 2.0**-18
+# Largest Box-Muller radius: u >= 2^-53, so sqrt(-2 ln u) <= 8.5717.
+_RADIUS_MAX = 8.6
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +143,8 @@ def uniform_stream(seed: int, indices: np.ndarray) -> np.ndarray:
     return _unit(splitmix64(seed, indices))
 
 
-def gaussian_stream(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Standard normals; gaussian k uses uniforms 2k and 2k+1 (Box-Muller)."""
+def _polar(seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box-Muller radius sqrt(-2 ln u(2k)) and angle 2*pi*u(2k+1) of gaussian k."""
     _check_seed(seed)
     idx = np.asarray(indices, dtype=np.uint64)
     # Uniform 2k mixes seed + (2k+1)*G and uniform 2k+1 mixes that plus G.
@@ -125,6 +157,12 @@ def gaussian_stream(seed: int, indices: np.ndarray) -> np.ndarray:
     radius *= -2.0
     np.sqrt(radius, out=radius)
     angle *= 2.0 * math.pi
+    return radius, angle
+
+
+def gaussian_stream(seed: int, indices: np.ndarray) -> np.ndarray:
+    """Standard normals; gaussian k uses uniforms 2k and 2k+1 (Box-Muller)."""
+    radius, angle = _polar(seed, indices)
     np.cos(angle, out=angle)
     radius *= angle
     return radius
@@ -424,12 +462,24 @@ def paint_labels(spec: SceneSpec) -> ClassificationMap:
     return ClassificationMap(labels)
 
 
+def _shifted(g: np.ndarray, sigma: np.ndarray, mean: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """mean + sigma * g + 0.5 per pixel, in place; its floor is the rounded pixel."""
+    g *= np.take(sigma, classes)
+    g += np.take(mean, classes)
+    g += 0.5
+    return g
+
+
 def synth_scene(spec: SceneSpec) -> tuple[MultibandImage, ClassificationMap]:
     """Render the scene: per-pixel gaussian around each class signature.
 
     value(band, row, col) = clamp(round(mean + sigma * g), 0, dtype_max)
     with rounding half away from zero and g drawn from the pixel's own
     stream index, so output is identical however the scene is tiled.
+
+    g's Box-Muller cosine is taken in float32, and each pixel whose
+    rounding that leaves in doubt (see ``_COS_ERR``) is rendered again from
+    ``gaussian_stream``, so the bytes are those of the float64 formula.
     """
     truth = paint_labels(spec)
     labels = truth.labels.reshape(-1)
@@ -445,22 +495,39 @@ def synth_scene(spec: SceneSpec) -> tuple[MultibandImage, ClassificationMap]:
 
     bands = []
     for b in range(spec.n_bands):
+        sigma, mean = sigmas[b], means[b]
+        # A pixel is decided by its float32-cosine value x' when x' lies
+        # more than the band's bound on |x' - x| from every integer, that
+        # is, when |frac(x') - 0.5| < limit. Written as a negation, NaN and
+        # infinite values (an infinite sigma) always fall back.
+        spread = float(sigma.max()) * _RADIUS_MAX
+        limit = 0.5 - (spread * _COS_ERR + 2.0**-49 * (spread + top + 1))
         samples = np.empty(n_pixels, dtype=NUMPY_DTYPES[spec.dtype])
         first = b * n_pixels
         for start in range(0, n_pixels, _CHUNK):
             stop = min(start + _CHUNK, n_pixels)
-            values = gaussian_stream(
-                spec.seed, np.arange(first + start, first + stop, dtype=np.uint64)
-            )
+            indices = np.arange(first + start, first + stop, dtype=np.uint64)
             classes = labels[start:stop]
-            values *= np.take(sigmas[b], classes)
-            values += np.take(means[b], classes)
+            values, angle = _polar(spec.seed, indices)
+            cos = angle.astype(np.float32)
+            np.cos(cos, out=cos)
+            values *= cos
+            _shifted(values, sigma, mean, classes)
+            pixels = np.floor(values)
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN: falls back
+                values -= pixels
+            values -= 0.5
+            np.abs(values, out=values)
+            redo = np.flatnonzero(~(values < limit))
+            if redo.size:
+                exact = _shifted(
+                    gaussian_stream(spec.seed, indices[redo]), sigma, mean, classes[redo]
+                )
+                pixels[redo] = np.floor(exact, out=exact)
             # floor(x + 0.5) differs from rounding half away from zero only
             # below zero, where the clamp maps both to 0.
-            values += 0.5
-            np.floor(values, out=values)
-            np.clip(values, 0, top, out=values)
-            samples[start:stop] = values
+            np.clip(pixels, 0, top, out=pixels)
+            samples[start:stop] = pixels
         samples = samples.reshape(spec.height, spec.width)
         samples.setflags(write=False)
         bands.append(Band(samples))

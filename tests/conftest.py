@@ -17,7 +17,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gstk import Band, ClassSignature, MultibandImage, Placement, Rectangle, SceneSpec
+from gstk import (
+    Band,
+    ClassSignature,
+    MultibandImage,
+    Placement,
+    Rectangle,
+    SceneSpec,
+    gaussian_stream,
+)
+from gstk.synth import paint_labels
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -167,6 +176,36 @@ def ref_gaussian_numpy(seed: int, indices) -> np.ndarray:
     u2 = np.array([ref_uniform(seed, 2 * i + 1) for i in flat], dtype=np.float64)
     g = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
     return g.reshape(np.shape(indices))
+
+
+def oracle_synth_scene(spec: SceneSpec) -> list[np.ndarray]:
+    """Every band of the scene from the float64 ``gaussian_stream`` alone.
+
+    Each run of 16,384 stream indices is drawn, scaled, offset and
+    rounded as floor(mean + sigma * g + 0.5), then clamped to the dtype:
+    the loop synth_scene ran before it filtered with a float32 cosine.
+    """
+    labels = paint_labels(spec).labels.reshape(-1)
+    top = 255 if spec.dtype == "u8" else 65535
+    n_pixels = spec.height * spec.width
+    bands = []
+    for b in range(spec.n_bands):
+        means = np.array([0.0] + [s.means[b] for s in spec.signatures])
+        sigmas = np.array([0.0] + [s.sigmas[b] for s in spec.signatures])
+        samples = np.empty(n_pixels, dtype=np.int64)
+        first = b * n_pixels
+        for start in range(0, n_pixels, 16384):
+            stop = min(start + 16384, n_pixels)
+            values = gaussian_stream(
+                spec.seed, np.arange(first + start, first + stop, dtype=np.uint64)
+            )
+            classes = labels[start:stop]
+            values *= sigmas[classes]
+            values += means[classes]
+            values += 0.5
+            samples[start:stop] = np.clip(np.floor(values), 0, top)
+        bands.append(samples.reshape(spec.height, spec.width))
+    return bands
 
 
 def ref_moments(planes) -> tuple[int, list[int], list[list[int]]]:

@@ -748,6 +748,17 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "COMMAND" in proc.stdout
 
+    def test_start_does_not_import_thread_pool(self):
+        # Only convolve with more than one thread needs concurrent.futures.
+        src = os.path.dirname(os.path.dirname(gstk.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        code = "import sys, gstk.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
 
 def _fill(argv, **values):
     """``argv`` with each ``{key}`` placeholder replaced by its value."""

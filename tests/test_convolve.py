@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 
 import numpy as np
@@ -219,12 +220,13 @@ class TestDeterminism:
     def test_threads_capped_at_tiles_and_cpus(self, rng, monkeypatch):
         pools = []
 
-        class RecordingPool(CONV.ThreadPoolExecutor):
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(CONV, "ThreadPoolExecutor", RecordingPool)
+        # convolve imports the pool only when it runs more than one thread.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(CONV.os, "cpu_count", lambda: 2)
         band = random_band(rng, 12, 5)
         k = smoothing_template()

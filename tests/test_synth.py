@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gstk import synth
 from gstk import (
@@ -24,6 +25,7 @@ from gstk import (
     uniform_stream,
 )
 from conftest import (
+    oracle_synth_scene,
     ref_gaussian,
     ref_gaussian_numpy,
     ref_splitmix64,
@@ -32,6 +34,13 @@ from conftest import (
 )
 
 _SPREAD = np.random.default_rng(2014).integers(0, 2**64 - 1, 3000, dtype=np.uint64)
+# Scattered stream indices inside one chunk, as synth_scene's exact
+# fallback passes them to gaussian_stream.
+_INSIDE = np.sort(
+    np.random.default_rng(2015).choice(
+        np.arange(synth._CHUNK, 2 * synth._CHUNK, dtype=np.uint64), 17, replace=False
+    )
+)
 
 
 class TestSplitMix64:
@@ -97,8 +106,15 @@ class TestStreams:
             (99, np.arange(2 * synth._CHUNK + 30).reshape(2, -1)[:, 3:]),  # 2-D
             (99, np.arange(0)),
             (2**64 - 1, np.arange(2000)),  # seed + G wraps
+            (99, _INSIDE[:1]),
+            (99, _INSIDE[:3]),
+            (99, _INSIDE[:7]),
+            (99, _INSIDE),
         ],
-        ids=["chunks", "scattered", "reversed", "2d", "empty", "top-seed"],
+        ids=[
+            "chunks", "scattered", "reversed", "2d", "empty", "top-seed",
+            "short-1", "short-3", "short-7", "short-17",
+        ],
     )
     def test_gaussian_matches_reference_on_any_index_layout(self, seed, indices):
         got = gaussian_stream(seed, indices)
@@ -108,6 +124,23 @@ class TestStreams:
         exact = np.array([ref_gaussian(seed, int(i)) for i in indices.reshape(-1)])
         err = np.abs(got.reshape(-1) - exact)
         assert (err <= 2 * np.spacing(np.abs(exact))).all()
+
+    def test_float32_cosine_accuracy(self):
+        # Parts 1 and 2 of the proof at synth._COS_ERR: the float32 cosine
+        # of the float32-rounded angle stays within _COS_ERR / 8 of numpy's
+        # float64 cosine, over 10^7 angles 2*pi*u of the uniform stream (in
+        # blocks of 10^6) and the edge angles.
+        worst = 0.0
+        edges = np.array([2.0**-53, 0.25, 0.5, 0.75, 1.0])
+        blocks = [edges] + [
+            np.arange(k * 10**6, (k + 1) * 10**6, dtype=np.uint64) for k in range(10)
+        ]
+        for block in blocks:
+            u = block if block is edges else uniform_stream(2026, block)
+            angle = u * (2.0 * math.pi)
+            cos32 = np.cos(angle.astype(np.float32)).astype(np.float64)
+            worst = max(worst, float(np.abs(cos32 - np.cos(angle)).max()))
+        assert worst <= synth._COS_ERR / 8
 
     def test_gaussian_moments(self):
         g = gaussian_stream(5, np.arange(200000))
@@ -426,6 +459,106 @@ class TestSynthScene:
         img, _ = synth_scene(spec)
         assert img.dtype == "u16"
         assert 39000 < float(img.bands[0].samples.mean()) < 41000
+
+
+@st.composite
+def _scene_specs(draw):
+    dtype = draw(st.sampled_from(["u8", "u16"]))
+    top = 255 if dtype == "u8" else 65535
+    n_bands = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(1, 5))
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    sigma = st.one_of(
+        st.just(0.0), st.floats(0, 4), st.floats(0, 100), st.floats(0, top)
+    )
+    mean = st.one_of(
+        st.integers(0, top).map(float),
+        st.integers(0, top - 1).map(lambda v: v + 0.5),
+        st.floats(0, top),
+    )
+    signatures = tuple(
+        ClassSignature(
+            f"c{c}",
+            tuple(draw(mean) for _ in range(n_bands)),
+            tuple(draw(sigma) for _ in range(n_bands)),
+        )
+        for c in range(n_classes)
+    )
+    placements = []
+    for _ in range(draw(st.integers(0, 3))):
+        row, col = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        size = (draw(st.integers(1, height - row)), draw(st.integers(1, width - col)))
+        placements.append(
+            Placement(draw(st.integers(1, n_classes)), Rectangle(row, col, *size))
+        )
+    return SceneSpec(
+        width=width,
+        height=height,
+        dtype=dtype,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        signatures=signatures,
+        placements=tuple(placements),
+    )
+
+
+def _assert_equals_oracle(spec):
+    image, _ = synth_scene(spec)
+    for got, expected in zip(image.bands, oracle_synth_scene(spec), strict=True):
+        assert np.array_equal(got.samples, expected)
+
+
+# Both bands span two chunks, the second one partial, and values fall
+# below 0 and above 65535 before the clamp.
+_WIDE_SPEC = SceneSpec(
+    width=97,
+    height=181,
+    dtype="u16",
+    seed=2**64 - 5,
+    signatures=(
+        ClassSignature("plain", (3000.0, 65300.0), (250.0, 700.0)),
+        ClassSignature("pond", (120.0, 900.0), (400.0, 35.0)),
+    ),
+    placements=(Placement(2, Disk(120, 40, 33)),),
+)
+
+
+class TestFilteredCosine:
+    """synth_scene's float32 cosine filter gives the float64 formula's bytes."""
+
+    @given(_scene_specs())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_float64_oracle(self, spec):
+        _assert_equals_oracle(spec)
+
+    def test_infinite_sigma(self):
+        spec = _one_class_spec(
+            width=30,
+            height=20,
+            signatures=(
+                ClassSignature("flat", (1.0, 100.0), (math.inf, 3.0)),
+                ClassSignature("wild", (200.0, 7.5), (2.0, math.inf)),
+            ),
+            placements=(Placement(2, Rectangle(5, 5, 10, 20)),),
+        )
+        _assert_equals_oracle(spec)
+
+    @pytest.mark.parametrize("cos_err", [synth._COS_ERR, math.inf], ids=["real", "forced"])
+    def test_fallback_at_real_and_forced_bound(self, monkeypatch, cos_err):
+        monkeypatch.setattr(synth, "_COS_ERR", cos_err)
+        redone = [0]  # stream indices rendered again in float64
+
+        def spy(seed, indices):
+            redone[0] += len(indices)
+            return gaussian_stream(seed, indices)
+
+        monkeypatch.setattr(synth, "gaussian_stream", spy)
+        _assert_equals_oracle(_WIDE_SPEC)
+        n_samples = _WIDE_SPEC.width * _WIDE_SPEC.height * _WIDE_SPEC.n_bands
+        if cos_err == math.inf:
+            assert redone[0] == n_samples
+        else:
+            # Band bounds of 0.013 and 0.023: a few percent of pixels fall back.
+            assert 0 < redone[0] < n_samples // 10
 
 
 class TestSceneSpecJson:
