@@ -470,7 +470,11 @@ class ClassificationMap:
             )
         if int(arr.min()) < 0:
             raise DomainError("labels must be non-negative")
-        object.__setattr__(self, "labels", _readonly(arr.astype(np.int32, copy=False)))
+        # Checked before the int32 conversion, which would wrap larger labels.
+        top = np.iinfo(np.int32).max
+        if np.iinfo(arr.dtype).max > top and int(arr.max()) > top:
+            raise DomainError(f"labels must be at most {top}")
+        object.__setattr__(self, "labels", _readonly(arr, np.int32))
 
     @property
     def width(self) -> int:
@@ -583,7 +587,9 @@ class ConfusionMatrix:
         arr = np.asarray(self.counts, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError("confusion counts must be square")
-        if arr.size and int(arr.min()) < 0:
+        if not arr.any():
+            raise DomainError("confusion counts are all zero: no pixel was evaluated")
+        if int(arr.min()) < 0:
             raise DomainError("confusion counts must be non-negative")
         object.__setattr__(self, "counts", _readonly(arr))
 

@@ -276,7 +276,7 @@ def _load_truth(path: str, n_classes: int) -> analysis.ClassificationMap:
     top = int(band.samples.max())
     if top > n_classes:
         raise DomainError(f"{path}: truth label {top} exceeds the {n_classes} classes")
-    return analysis.ClassificationMap(band.samples.astype(np.int32))
+    return analysis.ClassificationMap(band.samples)
 
 
 def _json_text(doc: dict) -> str:

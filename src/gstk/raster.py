@@ -24,13 +24,14 @@ NUMPY_DTYPES = {"u8": np.uint8, "u16": np.uint16}
 DTYPE_MAX = {"u8": 255, "u16": 65535}
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    """A read-only, C-contiguous array with ``arr``'s samples.
+def _readonly(arr: np.ndarray, dtype: type | None = None) -> np.ndarray:
+    """A read-only, C-contiguous array with ``arr``'s samples, as ``dtype``.
 
     A writable array is copied, so a caller cannot change it afterwards;
-    a read-only contiguous one is kept as it is.
+    a read-only contiguous one is kept as it is. A conversion is the only
+    copy made.
     """
-    out = np.ascontiguousarray(arr)
+    out = np.ascontiguousarray(arr, dtype=dtype)
     if out is arr and arr.flags.writeable:
         out = arr.copy()
     out.setflags(write=False)

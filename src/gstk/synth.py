@@ -17,9 +17,8 @@ Rendering evaluates each band in contiguous chunks of pixels in row-major
 order, so no full-frame temporary is built; by the counter-based layout
 this gives the same bytes as rendering the whole band at once. Within a
 chunk the cosine is taken in float32, and every pixel whose rounding that
-leaves in doubt, by the error bound proved at ``_COS_ERR``, is evaluated
-again in float64 by ``gaussian_stream``: the bytes stay those of the
-float64 formula.
+leaves in doubt, by the error bound proved at ``_COS_ERR``, takes the
+float64 cosine of its own angle: the bytes stay those of the float64 formula.
 """
 
 from __future__ import annotations
@@ -70,8 +69,7 @@ _CHUNK = 16384
 #
 # So |x' - x| <= sigma*R*_COS_ERR + 2^-49 * (sigma*R + top + 1). Where x'
 # lies farther than that from every integer, no integer lies between x and
-# x', and floor(x') = floor(x); every other pixel goes through
-# gaussian_stream.
+# x', and floor(x') = floor(x); every other pixel takes the float64 cosine.
 _COS_ERR = 2.0**-18
 # Largest Box-Muller radius: u >= 2^-53, so sqrt(-2 ln u) <= 8.5717.
 _RADIUS_MAX = 8.6
@@ -470,6 +468,11 @@ def _shifted(g: np.ndarray, sigma: np.ndarray, mean: np.ndarray, classes: np.nda
     return g
 
 
+def _cos64(radius: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """radius * cos(angle) in float64: gaussian_stream's value of these draws."""
+    return radius * np.cos(angle)
+
+
 def synth_scene(spec: SceneSpec) -> tuple[MultibandImage, ClassificationMap]:
     """Render the scene: per-pixel gaussian around each class signature.
 
@@ -478,8 +481,8 @@ def synth_scene(spec: SceneSpec) -> tuple[MultibandImage, ClassificationMap]:
     stream index, so output is identical however the scene is tiled.
 
     g's Box-Muller cosine is taken in float32, and each pixel whose
-    rounding that leaves in doubt (see ``_COS_ERR``) is rendered again from
-    ``gaussian_stream``, so the bytes are those of the float64 formula.
+    rounding that leaves in doubt (see ``_COS_ERR``) takes the float64
+    cosine of its own angle, so the bytes are those of the float64 formula.
     """
     truth = paint_labels(spec)
     labels = truth.labels.reshape(-1)
@@ -508,10 +511,10 @@ def synth_scene(spec: SceneSpec) -> tuple[MultibandImage, ClassificationMap]:
             stop = min(start + _CHUNK, n_pixels)
             indices = np.arange(first + start, first + stop, dtype=np.uint64)
             classes = labels[start:stop]
-            values, angle = _polar(spec.seed, indices)
+            radius, angle = _polar(spec.seed, indices)
             cos = angle.astype(np.float32)
             np.cos(cos, out=cos)
-            values *= cos
+            values = radius * cos
             _shifted(values, sigma, mean, classes)
             pixels = np.floor(values)
             with np.errstate(invalid="ignore"):  # inf - inf is NaN: falls back
@@ -520,9 +523,8 @@ def synth_scene(spec: SceneSpec) -> tuple[MultibandImage, ClassificationMap]:
             np.abs(values, out=values)
             redo = np.flatnonzero(~(values < limit))
             if redo.size:
-                exact = _shifted(
-                    gaussian_stream(spec.seed, indices[redo]), sigma, mean, classes[redo]
-                )
+                exact = _cos64(radius[redo], angle[redo])
+                _shifted(exact, sigma, mean, classes[redo])
                 pixels[redo] = np.floor(exact, out=exact)
             # floor(x + 0.5) differs from rounding half away from zero only
             # below zero, where the clamp maps both to 0.

@@ -691,6 +691,12 @@ class TestClassify:
         cmap, peak = traced_peak(classify, img, specs)
         assert peak < 2 * cmap.labels.nbytes, peak / cmap.labels.nbytes
 
+    def test_u8_labels_converted_with_one_copy(self):
+        # The int32 conversion is the map's only copy of u8 truth labels.
+        labels = np.ones((1024, 1024), dtype=np.uint8)
+        cmap, peak = traced_peak(ClassificationMap, labels)
+        assert peak < 1.5 * cmap.labels.nbytes, peak / cmap.labels.nbytes
+
 
 class TestAccuracy:
     def test_identity_map(self, rng):
@@ -747,6 +753,21 @@ class TestAccuracy:
     def test_negative_labels_rejected(self):
         with pytest.raises(DomainError):
             ClassificationMap(np.array([[-1]], dtype=np.int32))
+
+    @pytest.mark.parametrize(
+        "label, dtype", [(2**31, np.uint32), (2**32 + 3, np.int64)], ids=["u32", "i64"]
+    )
+    def test_labels_beyond_int32_rejected(self, label, dtype):
+        # Converted to int32, these would read -2^31 and 3.
+        with pytest.raises(DomainError, match="at most 2147483647"):
+            ClassificationMap(np.array([[1, label]], dtype=dtype))
+        largest = ClassificationMap(np.array([[2**31 - 1]], dtype=dtype))
+        assert largest.labels[0, 0] == 2**31 - 1
+
+    @pytest.mark.parametrize("side", [0, 2])
+    def test_confusion_without_counts_rejected(self, side):
+        with pytest.raises(DomainError, match="all zero"):
+            analysis.ConfusionMatrix(np.zeros((side, side)))
 
 
 class TestClassificationToBand:

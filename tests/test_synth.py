@@ -34,8 +34,8 @@ from conftest import (
 )
 
 _SPREAD = np.random.default_rng(2014).integers(0, 2**64 - 1, 3000, dtype=np.uint64)
-# Scattered stream indices inside one chunk, as synth_scene's exact
-# fallback passes them to gaussian_stream.
+# Scattered stream indices inside one chunk, like the pixels whose float64
+# cosine synth_scene's exact fallback takes.
 _INSIDE = np.sort(
     np.random.default_rng(2015).choice(
         np.arange(synth._CHUNK, 2 * synth._CHUNK, dtype=np.uint64), 17, replace=False
@@ -365,10 +365,10 @@ class TestSynthScene:
             ),
             placements=(Placement(2, Rectangle(2, 3, 6, 8)),),
         )
-        # Each band spans two chunks, the second one partial.
+        # Each band spans one full chunk and a partial second one.
         chunked = SceneSpec(
             width=97,
-            height=181,
+            height=synth._CHUNK // 97 + 13,
             dtype="u16",
             seed=2**64 - 5,
             signatures=(
@@ -545,13 +545,14 @@ class TestFilteredCosine:
     @pytest.mark.parametrize("cos_err", [synth._COS_ERR, math.inf], ids=["real", "forced"])
     def test_fallback_at_real_and_forced_bound(self, monkeypatch, cos_err):
         monkeypatch.setattr(synth, "_COS_ERR", cos_err)
-        redone = [0]  # stream indices rendered again in float64
+        redone = [0]  # pixels given the float64 cosine
+        cos64 = synth._cos64
 
-        def spy(seed, indices):
-            redone[0] += len(indices)
-            return gaussian_stream(seed, indices)
+        def spy(radius, angle):
+            redone[0] += len(radius)
+            return cos64(radius, angle)
 
-        monkeypatch.setattr(synth, "gaussian_stream", spy)
+        monkeypatch.setattr(synth, "_cos64", spy)
         _assert_equals_oracle(_WIDE_SPEC)
         n_samples = _WIDE_SPEC.width * _WIDE_SPEC.height * _WIDE_SPEC.n_bands
         if cos_err == math.inf:
