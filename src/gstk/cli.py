@@ -229,6 +229,13 @@ def _stage_stack(stage: _Stage, path: str, fields: list[ResponseField]) -> None:
     stage.add_writer(path, write)
 
 
+def _stage_oif(stage: _Stage, path: str, report: analysis.OifReport) -> None:
+    """Stage the OIF report, encoded and written one block at a time."""
+    stage.add_writer(
+        path, lambda f: f.writelines(b.encode("utf-8") for b in report._blocks())
+    )
+
+
 def _load_field(path: str) -> ResponseField:
     with open(path, "rb") as f:
         try:
@@ -325,7 +332,7 @@ def cmd_oif(args: argparse.Namespace) -> int:
     image = _load_image(getattr(args, "in"))
     report = analysis.oif_report(image)
     stage = _Stage()
-    stage.add_text(args.out, report.to_json())
+    _stage_oif(stage, args.out, report)
     stage.commit()
     print(_top_triple_line(report))
     return EXIT_OK
@@ -442,7 +449,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     stage.add_text(os.path.join(out, "confusion.json"), _json_text(confusion.to_dict()))
     stage.add_text(os.path.join(out, "compare.json"), _json_text(compare.to_dict()))
     if oif_report is not None:
-        stage.add_text(os.path.join(out, "oif.json"), oif_report.to_json())
+        _stage_oif(stage, os.path.join(out, "oif.json"), oif_report)
     stage.commit()
 
     if oif_report is not None:

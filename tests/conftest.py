@@ -262,6 +262,29 @@ def oracle_compare(a: np.ndarray, b: np.ndarray) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# OIF ranking oracle
+
+
+def oracle_rank_triples(corr) -> tuple[np.ndarray, np.ndarray]:
+    """Every triple i < j < k from the boolean (n, n, n) cube, ranked by lexsort.
+
+    Scores are summed in the order s_i + s_j + s_k over
+    |r_ij| + |r_ik| + |r_jk| (+inf on a zero denominator), and ties fall
+    back to ascending (i, j, k). Triples are 1-based.
+    """
+    n = corr.n
+    above = np.triu(np.ones((n, n), dtype=bool), 1)  # above[a, b] is a < b
+    i, j, k = np.nonzero(above[:, :, None] & above)
+    std = np.array(corr.stddev)
+    absr = np.abs(corr.r)
+    numer = std[i] + std[j] + std[k]
+    denom = absr[i, j] + absr[i, k] + absr[j, k]
+    scores = np.divide(numer, denom, out=np.full_like(numer, math.inf), where=denom > 0)
+    order = np.lexsort((k, j, i, -scores))
+    return np.column_stack((i, j, k))[order] + 1, scores[order]
+
+
+# ---------------------------------------------------------------------------
 # Classification oracle
 
 

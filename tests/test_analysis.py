@@ -35,10 +35,12 @@ from gstk import (
 )
 import gstk.analysis as analysis
 from gstk.analysis import classification_to_band
+from gstk.cli import _Stage, _stage_oif
 from conftest import (
     forced_oif_spec,
     oracle_classify,
     oracle_compare,
+    oracle_rank_triples,
     random_band,
     random_image,
     ref_moments,
@@ -369,16 +371,58 @@ def _json_cases():
     yield pytest.param(MultibandImage(tuple(Band(p) for p in planes)), id="mixed")
 
 
+def _write_oif(report, path):
+    """Write ``report`` as gstk does: staged, one block at a time."""
+    stage = _Stage()
+    _stage_oif(stage, str(path), report)
+    stage.commit()
+
+
+def _streamed(report, tmp_path) -> bytes:
+    _write_oif(report, tmp_path / "oif.json")
+    return (tmp_path / "oif.json").read_bytes()
+
+
+def _indented(report) -> str:
+    return json.dumps(report.to_dict(), indent=2) + "\n"
+
+
 class TestOifReportJson:
     @pytest.mark.parametrize("image", list(_json_cases()))
-    def test_bytes_equal_indented_dumps(self, image):
+    def test_bytes_equal_indented_dumps(self, image, tmp_path):
         report = oif_report(image)
-        assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+        assert report.to_json() == _indented(report)
+        assert _streamed(report, tmp_path) == _indented(report).encode("ascii")
+
+    # With blocks of 1, 2 and 3 entries, the 1-, 4-, 35- and 680-entry
+    # rankings end on a block edge, one entry past it and one short of it,
+    # and the null scores of the all-infinite and mixed cases open and
+    # close a block.
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("image", list(_json_cases()))
+    def test_small_blocks_give_the_same_bytes(self, image, block, tmp_path, monkeypatch):
+        monkeypatch.setattr(analysis, "_OIF_BLOCK", block)
+        report = oif_report(image)
+        m = len(report.scores)
+        assert len(list(report._blocks())) == 2 + -(-m // block)
+        assert report.to_json() == _indented(report)
+        assert _streamed(report, tmp_path) == _indented(report).encode("ascii")
+
+    def test_ranking_longer_than_two_blocks(self, tmp_path):
+        block = analysis._OIF_BLOCK
+        n = 3
+        while math.comb(n, 3) <= 2 * block + 1:
+            n += 1
+        report = oif_report(random_image(np.random.default_rng(n), n, 5, 7, "u16"))
+        m = len(report.scores)
+        assert len(list(report._blocks())) == 2 + -(-m // block) > 4
+        assert _streamed(report, tmp_path) == _indented(report).encode("ascii")
 
     def test_report_arrays(self):
         report = oif_report(_walsh_image())
         assert report.bands == ("band 1", "band 2", "band 3")
         assert report.triples.tolist() == [[1, 2, 3]]
+        assert report.triples.dtype == np.int64
         assert report.scores.tolist() == [math.inf]
         assert report.to_dict() == oif_report_dict(_walsh_image())
         assert '"score": null' in report.to_json()
@@ -399,6 +443,66 @@ class TestOifReportJson:
             tracemalloc.stop()
         assert len(text) > 2 * 2**20
         assert peak < 5 * len(text), f"peak {peak} B for {len(text)} B of text"
+
+    def test_streamed_write_peak_below_text(self, tmp_path):
+        # Writing holds a few blocks at a time, never the text: its peak
+        # stays under the report's own arrays plus four of its largest
+        # blocks, and under a third of the text's length (to_json alone
+        # peaks at twice the text).
+        rng = np.random.default_rng(48)
+        report = oif_report(random_image(rng, 48, 64, 64, "u16"))
+        path = tmp_path / "oif.json"
+        block = max(len(b) for b in report._blocks())
+        _, peak = traced_peak(_write_oif, report, path)
+        arrays = report.triples.nbytes + report.scores.nbytes
+        text = path.stat().st_size
+        assert text > 2 * 2**20
+        assert peak < arrays + 4 * block, f"peak {peak} B, arrays {arrays} B"
+        assert peak < text / 3, f"peak {peak} B for {text} B of text"
+
+
+@st.composite
+def _ranking_images(draw):
+    """3-40 bands of 1x8 pixels: leading exactly uncorrelated Walsh bands
+    (infinite scores), then random bands and copies of earlier bands
+    (tied scores)."""
+    n = draw(st.integers(3, 40))
+    dtype = draw(st.sampled_from([np.uint8, np.uint16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    planes = [p.astype(dtype) for p in _hadamard_bands(draw(st.integers(0, 7)))]
+    while len(planes) < n:
+        if planes and draw(st.booleans()):
+            planes.append(planes[draw(st.integers(0, len(planes) - 1))])
+        else:
+            planes.append(rng.integers(1, np.iinfo(dtype).max, (1, 8), dtype=dtype))
+            planes[-1][0, 0] = 0  # never constant
+    return _image(*planes[:n], dtype=dtype)
+
+
+class TestRankTriples:
+    @given(_ranking_images())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_cube_and_lexsort_oracle(self, image):
+        corr = correlation(image)
+        triples, scores = analysis._rank_triples(image, corr)
+        want_triples, want_scores = oracle_rank_triples(corr)
+        assert np.array_equal(triples, want_triples)
+        assert np.array_equal(scores, want_scores)
+
+    def test_ties_and_infinite_scores(self):
+        # Bands 5 and 6 copy bands 1 and 4, so triples that swap one for
+        # the other tie; the Walsh triples among bands 1-3 score +inf.
+        rng = np.random.default_rng(6)
+        planes = _hadamard_bands(3) + [rng.integers(0, 256, (1, 8), dtype=np.uint8)]
+        image = _image(*planes, planes[0], planes[3])
+        corr = correlation(image)
+        triples, scores = analysis._rank_triples(image, corr)
+        finite = scores[np.isfinite(scores)]
+        assert np.isinf(scores).sum() > 1
+        assert len(np.unique(finite)) < len(finite)
+        want_triples, want_scores = oracle_rank_triples(corr)
+        assert np.array_equal(triples, want_triples)
+        assert np.array_equal(scores, want_scores)
 
 
 class TestRois:

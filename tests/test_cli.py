@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gstk
+import gstk.analysis as analysis
 from gstk import (
     Band,
     BoundaryMode,
@@ -272,6 +273,24 @@ class TestStage:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["first.bin", "second.bin"]
 
 
+def _fail_oif_after_first_block(monkeypatch) -> list[str]:
+    """Make the OIF writer raise OSError once its first block is written.
+
+    Returns the list of blocks handed to the file.
+    """
+    blocks = analysis.OifReport._blocks
+    written = []
+
+    def failing(report):
+        for block in blocks(report):
+            written.append(block)
+            yield block
+            raise OSError("disk full")
+
+    monkeypatch.setattr(analysis.OifReport, "_blocks", failing)
+    return written
+
+
 class TestOif:
     def test_report_matches_library(self, tmp_path):
         image, _ = _write_scene(tmp_path, forced_oif_spec())
@@ -296,6 +315,17 @@ class TestOif:
         assert code == 3
         assert "zero-variance" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
+
+    def test_failed_write_part_way_leaves_nothing(self, tmp_path, capsys, monkeypatch):
+        _write_scene(tmp_path, forced_oif_spec())
+        before = sorted(p.name for p in tmp_path.iterdir())
+        written = _fail_oif_after_first_block(monkeypatch)
+        code = main(["oif", "--in", str(tmp_path / "scene.bsq"),
+                     "--out", str(tmp_path / "oif.json")])
+        assert code == 2
+        assert len(written) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 class TestClassify:
@@ -629,6 +659,25 @@ class TestPipeline:
         image, _ = synth_scene(separable_scene_spec())
         expected = json.dumps(oif_report_dict(image), indent=2) + "\n"
         assert (out / "oif.json").read_bytes() == expected.encode("ascii")
+
+    def test_failed_oif_write_renames_no_output(self, tmp_path, capsys, monkeypatch):
+        # oif.json is written last; when its writer fails part-way, every
+        # other output is still a temporary, and all of them are removed.
+        (tmp_path / "spec.json").write_text(scene_spec_to_json(separable_scene_spec()))
+        out = tmp_path / "run"
+        out.mkdir()
+        others = ["scene.hdr", "scene.bsq", "truth.pgm", "features.hdr",
+                  "features.bsq", "map.pgm", "confusion.json", "compare.json"]
+        for name in others:
+            (out / name).write_bytes(b"old")
+        written = _fail_oif_after_first_block(monkeypatch)
+        code = main(["pipeline", "--spec", str(tmp_path / "spec.json"),
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert len(written) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == sorted(others)
+        assert all((out / name).read_bytes() == b"old" for name in others)
 
     def test_deterministic_across_runs(self, tmp_path):
         (tmp_path / "spec.json").write_text(scene_spec_to_json(separable_scene_spec()))

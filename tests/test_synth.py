@@ -542,6 +542,20 @@ class TestFilteredCosine:
         )
         _assert_equals_oracle(spec)
 
+    def test_exact_fallback_at_sigma_near_dtype_max(self):
+        # A sigma of 65,000 leaves every pixel in doubt, so the exact
+        # fallback renders them all. Rounding the angle to float32 there
+        # moves sigma * g by up to a few hundredths, which moves 6 floors in
+        # each band of this scene: only the float64 formula passes.
+        spec = _one_class_spec(
+            width=64,
+            height=64,
+            dtype="u16",
+            seed=65535,
+            signatures=(ClassSignature("wide", (32768.0, 30000.5), (65000.0, 65535.0)),),
+        )
+        _assert_equals_oracle(spec)
+
     @pytest.mark.parametrize("cos_err", [synth._COS_ERR, math.inf], ids=["real", "forced"])
     def test_fallback_at_real_and_forced_bound(self, monkeypatch, cos_err):
         monkeypatch.setattr(synth, "_COS_ERR", cos_err)
