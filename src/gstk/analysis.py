@@ -33,7 +33,6 @@ from .raster import (
     stretch,
     _BLOCK,
     _frozen,
-    _magnitudes,
     _readonly,
 )
 
@@ -166,9 +165,6 @@ class CorrelationMatrix:
     @property
     def n(self) -> int:
         return self.r.shape[0]
-
-    def is_defined(self, i: int, j: int) -> bool:
-        return i not in self.zero_variance_bands and j not in self.zero_variance_bands
 
 
 def correlation(image: MultibandImage) -> CorrelationMatrix:
@@ -750,6 +746,15 @@ class ComparisonReport:
                 "sign_agreement": self.sign_agreement,
             },
         }
+
+
+def _magnitudes(samples: np.ndarray) -> np.ndarray:
+    """|samples| of an int32 array as uint32, so that |-2^31| = 2^31.
+
+    ``np.abs`` wraps -2^31 to itself in int32; its bits read as 2^31 in
+    uint32, and every other magnitude reads unchanged.
+    """
+    return np.abs(samples).view(np.uint32)
 
 
 def compare_responses(

@@ -237,28 +237,49 @@ def _stage_oif(stage: _Stage, path: str, report: analysis.OifReport) -> None:
 
 
 def _load_field(path: str) -> ResponseField:
+    """A response field from a ``.npy`` file, its header checked first.
+
+    The shape, dtype and payload length are checked before the array is
+    allocated, so a header that declares more samples than the file holds
+    is refused whatever size it declares.
+    """
+    npy = np.lib.format
     with open(path, "rb") as f:
         try:
             # Only the .npy format: np.load would also open .npz archives
             # and pickles, which are not response fields.
-            array = np.lib.format.read_array(f, allow_pickle=False)
+            version = npy.read_magic(f)
+            if version not in ((1, 0), (2, 0), (3, 0)):
+                raise ValueError(f"unsupported .npy version {version}")
+            # 3.0 is 2.0 with a UTF-8 header, which reads the same as
+            # Latin-1 while it is ASCII, as every int32 header is.
+            if version == (1, 0):
+                shape, _, dtype = npy.read_array_header_1_0(f)
+            else:
+                shape, _, dtype = npy.read_array_header_2_0(f)
         except ValueError as exc:
             raise FileFormatError(f"{path}: not a valid array file: {exc}") from None
-    if array.ndim == 3:
-        # a single-band stack from convolve --raw-out is one field
-        if array.shape[0] == 1:
-            array = array[0]
-        else:
+        if len(shape) == 3 and shape[0] != 1:
             raise FileFormatError(
-                f"{path}: stack has {array.shape[0]} bands; "
+                f"{path}: stack has {shape[0]} bands; "
                 "compare takes single response fields"
             )
-    if array.ndim != 2 or array.dtype != np.int32:
-        raise FileFormatError(
-            f"{path}: expected a 2-D int32 response field, got "
-            f"{array.dtype} with {array.ndim} axes"
-        )
-    return ResponseField(array)
+        if len(shape) not in (2, 3) or dtype != np.int32:
+            raise FileFormatError(
+                f"{path}: expected a 2-D int32 response field, got "
+                f"{dtype} with {len(shape)} axes"
+            )
+        expected = math.prod(shape) * dtype.itemsize
+        payload = os.fstat(f.fileno()).st_size - f.tell()
+        if min(shape) < 0 or payload != expected:
+            raise FileFormatError(
+                f"{path}: payload length {payload} != expected {expected} "
+                f"for shape {shape}"
+            )
+        f.seek(0)
+        array = npy.read_array(f, allow_pickle=False)
+    # a single-band stack from convolve --raw-out is one field
+    return ResponseField(array.reshape(shape[-2:]))
 
 
 def _load_rois(path: str, image: MultibandImage) -> list[analysis.Roi]:

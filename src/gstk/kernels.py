@@ -124,25 +124,13 @@ class Kernel:
         )
 
 
-@dataclass(frozen=True)
-class KernelMoment:
-    """Discrete moment sum(k(i,j) * i^p * j^q) over anchor-relative offsets.
-
-    moment (0,0) is the plain coefficient sum; vanishing low moments mean
-    the kernel annihilates low-degree polynomial fields.
-    """
-
-    p: int
-    q: int
-    value: int
-
-    @classmethod
-    def compute(cls, kernel: Kernel, p: int, q: int) -> "KernelMoment":
-        return cls(p, q, moment(kernel, p, q))
-
-
 def moment(kernel: Kernel, p: int, q: int) -> int:
-    """Return sum over nonzero cells of coeff * dcol^p * drow^q."""
+    """Return sum over nonzero cells of coeff * dcol^p * drow^q.
+
+    Offsets are anchor-relative. Moment (0, 0) is the plain coefficient
+    sum; vanishing low moments mean the kernel annihilates low-degree
+    polynomial fields.
+    """
     if p < 0 or q < 0:
         raise DomainError("moment exponents must be non-negative")
     return sum(v * dc**p * dr**q for dc, dr, v in kernel.offsets())

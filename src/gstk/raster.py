@@ -339,18 +339,14 @@ class StretchMode(str, Enum):
     SIGNED_LINEAR = "signed_linear"
 
 
-# Samples per block of the magnitude histogram and of the u8 mapping: the
+# Samples per block of the magnitude counts and of the u8 mapping: the
 # float64 scratch block is 512 KiB, so it stays in L2 across the six ops.
 _BLOCK = 2**16
 
-
-def _magnitudes(samples: np.ndarray) -> np.ndarray:
-    """|samples| of an int32 array as uint32, so that |-2^31| = 2^31.
-
-    ``np.abs`` wraps -2^31 to itself in int32; its bits read as 2^31 in
-    uint32, and every other magnitude reads unchanged.
-    """
-    return np.abs(samples).view(np.uint32)
+# Bins of the first level of magnitude counts, as a power of two, where
+# the second level stays within 2^16 bins. Each block's counts are added
+# up once, so 2^14 of them cost a quarter of a 2^16-sample block's pass.
+_LEVEL_BITS = 14
 
 
 def _magnitude_percentiles(
@@ -358,28 +354,49 @@ def _magnitude_percentiles(
 ) -> list[float]:
     """numpy's ``linear`` percentiles of ``|flat|`` (Hyndman & Fan type 7).
 
-    The order statistics are exact integers: cumulative ``bincount``
-    counts when the histogram (``top + 1`` bins) is no longer than the
-    band and than one block, else ``np.partition`` of the uint32 magnitudes.
-    They are combined as numpy's ``_lerp`` does, so the result equals
-    ``np.percentile`` on float64 magnitudes.
+    The order statistics are exact integers from two levels of blocked
+    ``bincount`` counts of the uint32 magnitudes, so |-2^31| = 2^31. The
+    first counts ``|x| >> s``, with ``s`` set by ``top`` so that neither
+    level has more than 2^16 bins, and the cumulative counts give each
+    wanted rank's bucket. When ``s > 0``, a second pass counts the low
+    ``s`` bits of the magnitudes in those buckets. They are combined as
+    numpy's ``_lerp`` does, so the result equals ``np.percentile`` on
+    float64 magnitudes.
     """
     n = flat.size
     virtual = [(n - 1) * (p / 100) for p in pcts]
     below = [min(math.floor(v), n - 1) for v in virtual]
     ranks = sorted({r for b in below for r in (b, min(b + 1, n - 1))})
-    if top < min(n, _BLOCK):
-        counts = np.zeros(top + 1, dtype=np.int64)
-        scratch = np.empty(min(n, _BLOCK), dtype=np.int32)
+    bits = top.bit_length()
+    shift = max(0, min(bits - _LEVEL_BITS, (bits + 1) // 2))
+    scratch = np.empty(min(n, _BLOCK), dtype=np.int32)
+
+    def magnitude_blocks(shift=0):
+        # np.abs wraps -2^31 to itself in int32; its bits read as 2^31 in
+        # uint32, and every other magnitude reads unchanged.
         for s in range(0, n, _BLOCK):
             block = flat[s : s + _BLOCK]
-            mags = np.abs(block, out=scratch[: block.size])
-            counts += np.bincount(mags, minlength=top + 1)
-        stats = np.searchsorted(np.cumsum(counts), ranks, side="right")
-    else:
-        mags = _magnitudes(flat)
-        mags.partition(ranks)
-        stats = mags[ranks]
+            mags = np.abs(block, out=scratch[: block.size]).view(np.uint32)
+            yield np.right_shift(mags, np.uint32(shift), out=mags) if shift else mags
+
+    counts = np.zeros((top >> shift) + 1, dtype=np.int64)
+    for high in magnitude_blocks(shift):
+        counts += np.bincount(high, minlength=counts.size)
+    stats = np.searchsorted(np.cumsum(counts), ranks, side="right")
+    if shift:
+        width = np.uint32(1 << shift)
+        low = {b: np.zeros(width, dtype=np.int64) for b in stats.tolist()}
+        for mags in magnitude_blocks():
+            for b, low_counts in low.items():
+                # uint32 wraps, so magnitudes below the bucket fall out too.
+                offsets = mags - np.uint32(b << shift)
+                low_counts += np.bincount(offsets[offsets < width], minlength=width)
+        # Each rank's place in its bucket is its rank less the count below it.
+        stats = [
+            (b << shift)
+            + np.searchsorted(np.cumsum(low[b]), r - counts[:b].sum(), side="right")
+            for r, b in zip(ranks, stats.tolist())
+        ]
     value = {r: float(s) for r, s in zip(ranks, stats)}
     result = []
     for v, i in zip(virtual, below):
@@ -405,8 +422,9 @@ def stretch(
     percentiles are ignored). The clip points are percentiles of the
     magnitudes with linear interpolation between closest ranks (numpy's
     default; Hyndman & Fan 1996, type 7), taken from exact integer order
-    statistics of the uint32 magnitudes, so |-2^31| = 2^31. Samples are
-    mapped in blocks: clipped, shifted, scaled and rounded to the nearest
+    statistics of the uint32 magnitudes, so |-2^31| = 2^31, counted in
+    blocks with no full-frame copy of the magnitudes. Samples are mapped
+    in blocks: clipped, shifted, scaled and rounded to the nearest
     integer, ties away from zero (scaled values are never negative). A
     degenerate (constant) window maps to all zeros; one too narrow for
     ``255 / (hi - lo)`` to be finite raises DomainError.

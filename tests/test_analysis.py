@@ -185,8 +185,6 @@ class TestCorrelation:
         assert math.isnan(corr.r[0, 1])
         assert corr.r[0, 0] == 1.0
         assert not math.isnan(corr.r[1, 2])
-        assert not corr.is_defined(0, 1)
-        assert corr.is_defined(1, 2)
 
     def test_single_band_rejected(self, rng):
         with pytest.raises(DomainError):

@@ -846,16 +846,32 @@ class TestOutputCollisions:
         assert list(out.iterdir()) == []
 
 
+def _int32_npy(shape, payload_bytes):
+    """A version 1.0 ``.npy`` int32 header for ``shape``, then zero bytes."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<i4", "fortran_order": False, "shape": shape}
+    )
+    return header.getvalue() + bytes(payload_bytes)
+
+
+_COMPARE_F = ["compare", "--a", "{f}", "--b", "{f}", "--threshold", "1",
+              "--out", "{d}/c.json"]
+
+
 class TestMalformedInputs:
     """Undecodable or foreign input files are format errors naming the file."""
 
     @pytest.mark.parametrize(
         "name, data, argv",
         [
-            ("f.npz", None, ["compare", "--a", "{f}", "--b", "{f}",
-                             "--threshold", "1", "--out", "{d}/c.json"]),
-            ("e.npy", b"", ["compare", "--a", "{f}", "--b", "{f}",
-                            "--threshold", "1", "--out", "{d}/c.json"]),
+            ("f.npz", None, _COMPARE_F),
+            ("e.npy", b"", _COMPARE_F),
+            # 4 TiB declared, far above any host's memory: refused from the
+            # header and the file's length, before anything is allocated.
+            ("h.npy", _int32_npy((1 << 20, 1 << 20), 64), _COMPARE_F),
+            ("t.npy", _int32_npy((4, 4), 60), _COMPARE_F),
+            ("l.npy", _int32_npy((4, 4), 68), _COMPARE_F),
             ("s.hdr", b"magic=GSTK1\nwidth=4\xe9\n",
              ["convolve", "--in", "{f}", "--out", "{d}/o.pgm"]),
             ("k.txt", b"0 1 0\n1 \xff 1\n0 1 0\n",
@@ -868,8 +884,8 @@ class TestMalformedInputs:
             ("r.json", b'{"classes": "\xc3"}',
              ["classify", "--in", "{in}", "--rois", "{f}", "--out-map", "{d}/m.pgm"]),
         ],
-        ids=["npz", "empty-npy", "bsq-header", "kernel", "synth-spec",
-             "pipeline-spec", "roi-json"],
+        ids=["npz", "empty-npy", "huge-npy", "truncated-npy", "trailing-npy",
+             "bsq-header", "kernel", "synth-spec", "pipeline-spec", "roi-json"],
     )
     def test_is_file_format_error(self, tmp_path, capsys, name, data, argv):
         out = tmp_path / "out"

@@ -6,7 +6,6 @@ from gstk import (
     DomainError,
     FileFormatError,
     Kernel,
-    KernelMoment,
     derive_quadrant_template,
     format_kernel,
     laplacian_template,
@@ -118,10 +117,6 @@ class TestMoments:
         k = smoothing_template()
         assert moment(k, 2, 0) == 8
         assert moment(k, 0, 2) == 8
-
-    def test_moment_object(self):
-        m = KernelMoment.compute(smoothing_template(), 2, 0)
-        assert (m.p, m.q, m.value) == (2, 0, 8)
 
     def test_negative_exponents_rejected(self):
         with pytest.raises(DomainError):

@@ -357,8 +357,8 @@ RASTER = sys.modules["gstk.raster"]
 
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 
-# Sample ranges for stretch fields: small ones take the magnitude-histogram
-# branch, wide ones (magnitudes beyond the pixel count) np.partition.
+# Sample ranges for stretch fields: magnitudes below 2^14 are ranked by one
+# level of counts, wider ones by two.
 _STRETCH_RANGES = st.sampled_from(
     [(0, 0), (-1, 1), (-7, 7), (-300, 300), (0, 70000), (_INT32_MIN, _INT32_MAX)]
 )
@@ -417,7 +417,7 @@ class TestStretch:
             [[-9, 9], [9, -9]],
             [[_INT32_MIN, _INT32_MAX, 0, 1]],
             [[_INT32_MIN, _INT32_MIN + 1, -1, _INT32_MAX]],
-            # magnitude range 10^6 over 6 pixels: the np.partition branch
+            # magnitude range 10^6 over 6 pixels: two levels of counts
             [[0, 1, -2, 999_999, -500_000, 3]],
         ],
     )
@@ -427,16 +427,55 @@ class TestStretch:
     def test_edge_cases_equal_oracle(self, values, pcts):
         _check_against_oracle(np.array(values, dtype=np.int32), *pcts)
 
-    def test_blocks_and_both_order_statistic_branches(self, rng):
-        # 300 x 300 spans two 2^16-sample blocks; magnitudes below 2^16 are
-        # ranked by histogram, wider ones by np.partition.
+    def test_blocks_and_one_or_two_count_levels(self, rng):
+        # 300 x 300 spans two 2^16-sample blocks; magnitudes below 2^14 are
+        # ranked by one level of counts, wider ones by two.
         for top in (255, 2**20):
             values = rng.integers(-top, top, (300, 300)).astype(np.int32)
             _check_against_oracle(values, 2.0, 98.0)
 
+    @pytest.mark.parametrize(
+        "values, pcts",
+        [
+            # 0..80 in buckets of 16 magnitudes: ranks 32, 33, 36 and 37
+            # share one bucket; ranks 30, 31 and 50, 51 fall in two.
+            (np.arange(81).reshape(9, 9), (40.0, 45.0)),
+            (np.arange(81).reshape(9, 9), (37.5, 62.5)),
+            (-np.arange(81).reshape(9, 9), (0.0, 100.0)),
+            (np.zeros((9, 9)), (2.0, 98.0)),  # top = 0
+            (np.full((9, 9), -77), (2.0, 98.0)),
+            ([[_INT32_MIN]], (2.0, 98.0)),  # n = 1, top = 2^31
+            (np.full((9, 9), _INT32_MIN), (0.0, 100.0)),
+            ([[_INT32_MIN, 0, 5, -6, _INT32_MAX, 2**30, -(2**30) - 1]], (2.0, 98.0)),
+            ([[_INT32_MIN, _INT32_MAX, 0]], (0.0, 50.0)),
+        ],
+    )
+    def test_two_levels_in_small_blocks(self, monkeypatch, values, pcts):
+        # Blocks of 7 samples and a first level as short as the second
+        # allows, so that 9 x 9 fields take two levels across several blocks.
+        monkeypatch.setattr(RASTER, "_BLOCK", 7)
+        monkeypatch.setattr(RASTER, "_LEVEL_BITS", 1)
+        _check_against_oracle(np.array(values, dtype=np.int32), *pcts)
+
+    @given(_stretch_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_two_levels_equal_oracle(self, case):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(RASTER, "_BLOCK", 7)
+            patch.setattr(RASTER, "_LEVEL_BITS", 1)
+            _check_against_oracle(*case)
+
+    def test_abs_linear_makes_no_frame_of_magnitudes(self, rng):
+        # The u8 result, a quarter frame, plus blocks and counts: no uint32
+        # copy of the magnitudes, even when they need two levels of counts.
+        values = rng.integers(-(2**31 - 1), 2**31 - 1, (1024, 1024), dtype=np.int32)
+        field = ResponseField(values)
+        _, peak = traced_peak(stretch, field, StretchMode.ABS_LINEAR)
+        assert peak < 0.75 * field.samples.nbytes, peak
+
     def test_memory_stays_below_one_and_a_half_frames(self, rng):
-        # The magnitudes, an int32-sized copy at most, plus the u8 result and
-        # one float64 block; no full-frame float64 copy.
+        # The u8 result, one float64 block and the magnitude counts; no
+        # full-frame float64 copy.
         for top in (1000, 2**31 - 1):
             values = rng.integers(-top, top, (1024, 1024)).astype(np.int32)
             field = ResponseField(values)
