@@ -2,13 +2,15 @@
 
 Every subcommand is a thin shell over the library: it loads inputs,
 calls the same functions a caller would, and serializes the results.
-Outputs are computed fully before anything is written. Each file is then
-serialized straight into a temporary sibling, with no in-memory copy of
-its bytes, and only when every temporary is written are they renamed into
-place one by one. Each file is therefore replaced atomically and no
-temporary file is left behind, but the set of files is not replaced
-atomically: if a later rename fails, the files already renamed stay
-replaced.
+Each output file is serialized straight into a temporary sibling, with
+no in-memory copy of its bytes. ``convolve`` writes its temporaries
+while bands are still being computed, each band as soon as it is final;
+the other subcommands compute their outputs first. Only when every
+temporary is written are they renamed into place one by one; any
+failure before then removes every temporary and touches no target. Each
+file is therefore replaced atomically and no temporary file is left
+behind, but the set of files is not replaced atomically: if a later
+rename fails, the files already renamed stay replaced.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or file-format error,
 3 domain error (invalid values, zero-variance bands, two outputs that
@@ -18,18 +20,20 @@ resolve to one file, and so on).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 import tempfile
-from collections.abc import Callable
-from typing import BinaryIO
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import Any, BinaryIO
 
 import numpy as np
 
 from . import analysis, synth
-from .convolve import BoundaryMode, convolve, convolve_image
+from .convolve import BoundaryMode, convolve
 from .errors import DomainError, FileFormatError, GstkError
 from .kernels import (
     Kernel,
@@ -45,7 +49,8 @@ from .raster import (
     ResponseField,
     StretchMode,
     bsq_paths,
-    _bsq_parts,
+    _bsq_header,
+    _bsq_samples,
     read_bsq,
     read_pgm,
     stretch,
@@ -128,22 +133,27 @@ def _kernel_from_choice(choice: str) -> Kernel:
 class _Stage:
     """Collects output files, then commits each one via temp + rename.
 
-    Each output is a writer, ``write(f)``, that serializes values already
-    computed into the open temporary file during ``commit``. Everything
-    that can refuse an output is checked when it is added, before anything
-    is written: two outputs that resolve to one file are refused there,
-    since the later rename would otherwise silently replace the earlier
-    output.
+    Each output is a writer, ``write(f)``, that serializes its values into
+    the open temporary file during ``commit``. A writer may pull values
+    that are still being computed, such as convolved bands; a writer added
+    with ``first=True`` runs before the others, so it can take values in
+    the order they are computed and keep what the later writers need.
+    Everything that can refuse an output is checked when it is added,
+    before anything is written: two outputs that resolve to one file are
+    refused there, since the later rename would otherwise silently replace
+    the earlier output.
     """
 
     def __init__(self) -> None:
-        self._items: dict[str, tuple[str, Callable[[BinaryIO], object]]] = {}
+        self._items: dict[str, tuple[str, Callable[[BinaryIO], object], bool]] = {}
 
-    def add_writer(self, path: str, write: Callable[[BinaryIO], object]) -> None:
+    def add_writer(
+        self, path: str, write: Callable[[BinaryIO], object], *, first: bool = False
+    ) -> None:
         key = os.path.realpath(path)
         if key in self._items:
             raise DomainError(f"two outputs would be written to {path}")
-        self._items[key] = (path, write)
+        self._items[key] = (path, write, first)
 
     def add_bytes(self, path: str, data: bytes) -> None:
         self.add_writer(path, lambda f: f.write(data))
@@ -152,27 +162,55 @@ class _Stage:
         self.add_bytes(path, text.encode("utf-8"))
 
     def commit(self) -> None:
-        temps: list[tuple[str, str]] = []
+        """Write every temporary, then rename each into place in add order."""
+        items = list(self._items.values())
+        temps: dict[str, str] = {}
         try:
-            for path, write in self._items.values():
+            for path, write, _ in sorted(items, key=lambda item: not item[2]):
                 directory = os.path.dirname(os.path.abspath(path))
                 fd, tmp = tempfile.mkstemp(
                     dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
                 )
                 # Listed before writing, so a writer that fails part-way
                 # still has its temporary removed.
-                temps.append((tmp, path))
+                temps[path] = tmp
                 with os.fdopen(fd, "wb") as f:
                     write(f)
-            for tmp, path in temps:
-                os.replace(tmp, path)
+            for path, _, _ in items:
+                os.replace(temps[path], path)
         except BaseException:
-            for tmp, _ in temps:
+            for tmp in temps.values():
                 try:
                     os.unlink(tmp)
                 except OSError:
                     pass
             raise
+
+
+def _in_order(task: Callable[[Any], Any], items: Sequence, threads: int) -> Iterator:
+    """``task(item)`` for each item, yielded in item order.
+
+    With more than one thread the tasks run on a pool of ``threads``, and
+    at most ``threads + 1`` results are in flight: computing, or computed
+    and not yet taken. Closing the iterator cancels the tasks not started.
+    """
+    if threads == 1:
+        yield from map(task, items)
+        return
+    # Imported here: the pool costs every gstk start about 6 ms to import.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        pending: deque = deque()
+        for item in items:
+            if len(pending) > threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(task, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -192,26 +230,50 @@ def _load_image(path: str) -> MultibandImage:
 
 
 def _stage_image(stage: _Stage, path: str, image: MultibandImage) -> None:
+    shape = (image.n_bands, image.height, image.width)
+    _stage_bands(stage, path, shape, image.dtype, lambda: image.bands)
+
+
+def _stage_bands(
+    stage: _Stage,
+    path: str,
+    shape: tuple[int, int, int],
+    dtype: str,
+    bands: Callable[[], Iterable[Band]],
+    *,
+    first: bool = False,
+) -> None:
+    """Stage a (bands, height, width) image whose ``bands()`` are written
+    one by one during the commit: a PGM file or a BSQ header/payload pair.
+    """
+    count, height, width = shape
     if path.endswith(".pgm"):
-        if image.n_bands != 1:
+        if count != 1:
             raise DomainError(
-                f"cannot write {image.n_bands} bands to a PGM file; "
-                "use a BSQ path instead"
+                f"cannot write {count} bands to a PGM file; use a BSQ path instead"
             )
-        stage.add_bytes(path, write_pgm(image.bands[0]))
+        write = lambda f: f.writelines(write_pgm(b) for b in bands())  # noqa: E731
+        stage.add_writer(path, write, first=first)
         return
     header_path, payload_path = bsq_paths(path)
-    header, bands = _bsq_parts(image)
-    stage.add_text(header_path, header)
-    stage.add_writer(payload_path, lambda f: f.writelines(bands))
+    stage.add_text(header_path, _bsq_header(width, height, count, dtype))
+    write = lambda f: f.writelines(_bsq_samples(b) for b in bands())  # noqa: E731
+    stage.add_writer(payload_path, write, first=first)
 
 
 def _stage_labels(stage: _Stage, path: str, cmap: analysis.ClassificationMap) -> None:
     stage.add_bytes(path, write_pgm(analysis.classification_to_band(cmap)))
 
 
-def _stage_stack(stage: _Stage, path: str, fields: list[ResponseField]) -> None:
-    """Stage the fields as one (bands, height, width) int32 ``.npy`` stack.
+def _stage_stack(
+    stage: _Stage,
+    path: str,
+    shape: tuple[int, int, int],
+    fields: Callable[[], Iterable[np.ndarray]],
+    *,
+    first: bool = False,
+) -> None:
+    """Stage a (bands, height, width) int32 ``.npy`` stack of ``fields()``.
 
     The bytes equal ``np.save`` of the stacked array: a version 1.0 header,
     then each field's samples in turn, with no stacked copy.
@@ -219,14 +281,14 @@ def _stage_stack(stage: _Stage, path: str, fields: list[ResponseField]) -> None:
     header = {
         "descr": np.lib.format.dtype_to_descr(np.dtype(np.int32)),
         "fortran_order": False,
-        "shape": (len(fields), fields[0].height, fields[0].width),
+        "shape": shape,
     }
 
     def write(f: BinaryIO) -> None:
         np.lib.format.write_array_header_1_0(f, header)
-        f.writelines(field.samples for field in fields)
+        f.writelines(fields())
 
-    stage.add_writer(path, write)
+    stage.add_writer(path, write, first=first)
 
 
 def _stage_oif(stage: _Stage, path: str, report: analysis.OifReport) -> None:
@@ -335,17 +397,37 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     image = _load_image(getattr(args, "in"))
     kernel = _kernel_from_choice(args.kernel)
     boundary = BoundaryMode(args.boundary)
-    fields = convolve_image(image, kernel, boundary, workers=args.workers)
     mode = StretchMode(args.stretch)
-    stretched = [stretch(f, mode, args.lo_pct, args.hi_pct) for f in fields]
-    names = tuple(image.name_of(i) for i in range(image.n_bands))
-    out_image = MultibandImage(tuple(stretched), names)
+    n_bands = image.n_bands
+    tile_workers = max(1, args.workers // n_bands)
+
+    def task(band: Band) -> tuple[Band, ResponseField | None]:
+        field = convolve(band, kernel, boundary, workers=tile_workers)
+        edge = stretch(field, mode, args.lo_pct, args.hi_pct)
+        return edge, (field if args.raw_out else None)
+
+    threads = min(args.workers, n_bands, os.cpu_count() or 1)
+    results = _in_order(task, image.bands, threads)
+    shape = (n_bands, image.height, image.width)
     stage = _Stage()
-    _stage_image(stage, args.out, out_image)
     if args.raw_out:
-        _stage_stack(stage, args.raw_out, fields)
-    stage.commit()
-    print(f"convolved {image.n_bands} band(s) with {args.kernel} ({args.boundary})")
+        # The stack is written first, one field at a time as bands finish;
+        # the stretched bands are kept for the image written after it.
+        edges: list[Band] = []
+
+        def fields() -> Iterator[np.ndarray]:
+            for edge, field in results:
+                edges.append(edge)
+                yield field.samples
+                del field  # not held while the next band is awaited
+
+        _stage_bands(stage, args.out, shape, "u8", lambda: edges)
+        _stage_stack(stage, args.raw_out, shape, fields, first=True)
+    else:
+        _stage_bands(stage, args.out, shape, "u8", lambda: (e for e, _ in results))
+    with contextlib.closing(results):
+        stage.commit()
+    print(f"convolved {n_bands} band(s) with {args.kernel} ({args.boundary})")
     return EXIT_OK
 
 

@@ -6,12 +6,15 @@ with no kernel flip. The shipped templates are symmetric under all square
 symmetries, so the convention is only observable with asymmetric kernels;
 it is pinned here and covered by tests.
 
-Accumulation is exact integer arithmetic: a precheck bounds every partial
-sum by sum(|coeff|) * dtype_max and refuses kernels whose bound exceeds
-signed 32 bits. Each row tile accumulates in int16 where that bound fits
-(u8 input with the shipped templates) and in int32 otherwise, and the
-responses are int32. Results are bit-identical however the rows are tiled
-and for any worker count.
+Each row tile pads its own input rows, halo included, and sums the
+kernel as a few row terms: rows of the kernel that hold one coefficient
+magnitude in the same columns share one term, built once per tile and
+added at each row shift (see ``_terms``). Accumulation is exact integer
+arithmetic: a precheck bounds every partial sum by sum(|coeff|) *
+dtype_max and refuses kernels whose bound exceeds signed 32 bits. Each
+tile sums in int16 where that bound fits (u8 input with the shipped
+templates) and in int32 otherwise, and the responses are int32. Results
+are bit-identical however the rows are tiled and for any worker count.
 """
 
 from __future__ import annotations
@@ -28,13 +31,15 @@ from .raster import Band, MultibandImage, ResponseField, _frozen
 _INT16_MAX = 2**15 - 1
 _INT32_MAX = 2**31 - 1
 
-# Output samples per row tile (1 MiB as int32), so a tile's accumulator and
-# input rows mostly stay in cache across the taps. smooth5 on a 2-vCPU Xeon
-# against fixed 256-row tiles: u16 2048^2 68 -> 59 ms on 1 worker and 46 ->
-# 44 ms on 2; u8 1536^2 33 -> 29 ms. Half this budget ran 1 worker faster
-# still (54 ms), but then 2 threads beat 1 by only 1.17x (median of 12
-# rounds, 3 of 12 lost) against 1.37x here, too thin for criterion 8.
-_TILE_SAMPLES = 2**18
+# Output samples per row tile (512 KiB as int32), so a tile's padded rows,
+# its term buffer and its accumulator stay in a 2 MiB L2 cache. smooth5,
+# 2-vCPU Xeon, median of 10-15 interleaved rounds per budget:
+#   u16 2048^2, 1 worker: 2^16 21.0, 2^17 22.6, 2^18 27.4, 2^19 32.0 ms;
+#   the same with 2 tile threads: 2^15 37.6, 2^16 22.0, 2^17 18.7, 2^18 18.4;
+#   8 such bands on 2 band threads: 2^16 158, 2^17 135, 2^18 151 ms;
+#   u8 1536^2, 1 worker: 2^16 8.4, 2^17 7.9, 2^18 7.3 ms.
+# Smaller tiles cost more per-call overhead, which threads serialize on.
+_TILE_SAMPLES = 2**17
 
 
 class BoundaryMode(str, Enum):
@@ -50,21 +55,36 @@ class BoundaryMode(str, Enum):
     ZERO = "zero"
 
 
-_PAD_MODES = {
-    BoundaryMode.REPLICATE: "edge",
-    BoundaryMode.REFLECT: "symmetric",
-    BoundaryMode.ZERO: "constant",
-}
+def _source(lo: int, hi: int, size: int, boundary: BoundaryMode) -> np.ndarray:
+    """The sample index read at each position lo..hi-1 of an axis of ``size``.
+
+    Positions outside 0..size-1 clip for ``replicate`` and fold with period
+    ``2 * size`` for ``reflect``; for ``zero`` they get -1, a read of 0.
+    """
+    pos = np.arange(lo, hi)
+    if boundary is BoundaryMode.REPLICATE:
+        return np.clip(pos, 0, size - 1)
+    if boundary is BoundaryMode.REFLECT:
+        pos %= 2 * size
+        return np.where(pos < size, pos, 2 * size - 1 - pos)
+    return np.where((pos >= 0) & (pos < size), pos, -1)
 
 
-def _extended(
-    band: Band, kernel: Kernel, boundary: BoundaryMode, dtype: type
-) -> np.ndarray:
-    """Input extended so every kernel placement reads in-range, as ``dtype``."""
-    ar, ac = kernel.anchor
-    pads = ((ar, kernel.rows - 1 - ar), (ac, kernel.cols - 1 - ac))
-    mode = _PAD_MODES[BoundaryMode(boundary)]
-    return np.pad(band.samples, pads, mode=mode).astype(dtype)
+def _terms(kernel: Kernel) -> list[tuple[int, tuple[int, ...], list[tuple[int, bool]]]]:
+    """The kernel as a sum of terms ``(g, columns, rows)``.
+
+    A term is ``V = g * sum(ext[:, c:c + width] for c in columns)``; the
+    response adds ``V`` shifted down by ``r`` for each ``(r, True)`` in
+    ``rows`` and subtracts it for each ``(r, False)``. Kernel row ``r``
+    holds ``+g`` (or ``-g``) exactly in ``columns``, so rows that share
+    their column set and coefficient magnitude share one term.
+    """
+    terms: dict[tuple[int, tuple[int, ...]], list[tuple[int, bool]]] = {}
+    for r, row in enumerate(kernel.coeffs):
+        for coeff in sorted(set(row) - {0}):
+            columns = tuple(c for c, v in enumerate(row) if v == coeff)
+            terms.setdefault((abs(coeff), columns), []).append((r, coeff > 0))
+    return [(g, columns, rows) for (g, columns), rows in terms.items()]
 
 
 def convolve(
@@ -78,12 +98,13 @@ def convolve(
 
     Internally the output is split into row tiles whose height follows the
     band width, computed on up to ``workers`` threads but never on more
-    threads than there are tiles or CPUs. Tiles write disjoint output
-    regions and share the read-only extended input, so the result does not
-    depend on the tiling or on ``workers``. Each tile sums its taps in
-    int16 when ``kernel.abs_sum() * dtype_max <= 2^15 - 1`` and copies the
-    sum into the int32 result; otherwise it sums them in the int32 result
-    directly.
+    threads than there are tiles or CPUs. Each tile gathers its own padded
+    input rows (its halo included) and writes a disjoint output region, so
+    the result does not depend on the tiling or on ``workers``. A tile
+    builds each term of the kernel (see ``_terms``) once over the rows its
+    shifts read, then adds or subtracts it at each shift. It sums in int16
+    when ``kernel.abs_sum() * dtype_max <= 2^15 - 1`` and copies the sum
+    into the int32 result; otherwise it sums in the int32 result directly.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
@@ -94,31 +115,62 @@ def convolve(
             "can overflow signed 32-bit accumulation"
         )
 
-    # Every partial sum is a sum of distinct coeff * sample terms, so it is
-    # bounded by ``worst`` too; int16 holds it when worst <= 2^15 - 1 (u8
-    # input with abs_sum <= 128: smooth5 8160, laplacian3 4080).
+    # Every term buffer and partial sum is a sum of distinct |coeff| * sample
+    # terms, so it is bounded by ``worst`` too; int16 holds it when worst <=
+    # 2^15 - 1 (u8 input with abs_sum <= 128: smooth5 8160, laplacian3 4080).
     acc_dtype = np.int16 if worst <= _INT16_MAX else np.int32
+    boundary = BoundaryMode(boundary)
+    samples = band.samples
     height, width = band.height, band.width
-    ext = _extended(band, kernel, boundary, acc_dtype)
+    ar, ac = kernel.anchor
+    kh, kw = kernel.rows, kernel.cols
+    left = _source(-ac, 0, width, boundary)
+    right = _source(width, width + kw - 1 - ac, width, boundary)
+    terms = _terms(kernel)
     out = np.empty((height, width), dtype=np.int32)
-    # An all-zero kernel keeps one zero tap, which writes the zero response.
-    taps = [
-        (r, c, v)
-        for r, row in enumerate(kernel.coeffs)
-        for c, v in enumerate(row)
-        if v != 0
-    ] or [(0, 0, 0)]
     in_place = acc_dtype is np.int32
 
     def run_tile(r0: int, r1: int) -> None:
+        # The tile's input rows with their halo, padded on both axes.
         n = r1 - r0
+        lo, hi = r0 - ar, r1 + kh - 1 - ar
+        ext = np.empty((hi - lo, ac + width + len(right)), dtype=acc_dtype)
+        if 0 <= lo and hi <= height:
+            ext[:, ac : ac + width] = samples[lo:hi]
+        else:
+            rows = _source(lo, hi, height, boundary)
+            ext[:, ac : ac + width] = samples[rows]
+            ext[rows < 0] = 0
+        if boundary is BoundaryMode.ZERO:
+            ext[:, :ac] = 0
+            ext[:, ac + width :] = 0
+        else:
+            ext[:, :ac] = ext[:, ac + left]
+            ext[:, ac + width :] = ext[:, ac + right]
+
+        # Each term is built once, contiguous, over the rows its shifts
+        # read, then added or subtracted at each shift.
         acc = out[r0:r1] if in_place else np.empty((n, width), dtype=acc_dtype)
-        term = np.empty_like(acc)
-        (kr, kc, coeff), *rest = taps
-        np.multiply(ext[r0 + kr : r0 + kr + n, kc : kc + width], coeff, out=acc)
-        for kr, kc, coeff in rest:
-            np.multiply(ext[r0 + kr : r0 + kr + n, kc : kc + width], coeff, out=term)
-            acc += term
+        scratch = np.empty((hi - lo, width), dtype=acc_dtype)
+        started = False
+        for g, columns, rows in terms:
+            top, bottom = rows[0][0], rows[-1][0] + n
+            v, *more = (ext[top:bottom, c : c + width] for c in columns)
+            if more:
+                v = np.add(v, more[0], out=scratch[: bottom - top])
+                for rest in more[1:]:
+                    v += rest
+            if g != 1:
+                v = np.multiply(v, g, out=scratch[: bottom - top])
+            for r, positive in rows:
+                part = v[r - top : r - top + n]
+                if started:
+                    (np.add if positive else np.subtract)(acc, part, out=acc)
+                else:
+                    (np.positive if positive else np.negative)(part, out=acc)
+                    started = True
+        if not started:  # an all-zero kernel
+            acc.fill(0)
         if not in_place:
             out[r0:r1] = acc
 

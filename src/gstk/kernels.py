@@ -20,9 +20,9 @@ from .errors import DomainError, FileFormatError
 # Coefficient magnitudes must fit in 16 signed bits.
 _COEFF_LIMIT = 1 << 15
 
-# Most rows or columns a kernel may have. Convolving pads the band by the
-# kernel size minus one on each axis before any work, so an unbounded
-# kernel file could ask for gigabytes; 255 is 51x the 5x5 template.
+# Most rows or columns a kernel may have. Convolving pads each row tile by
+# the kernel size minus one on each axis, so an unbounded kernel file
+# could ask for gigabytes; 255 is 51x the 5x5 template.
 MAX_KERNEL_SIDE = 255
 
 

@@ -296,28 +296,30 @@ def read_bsq(header_text: str, payload: bytes) -> MultibandImage:
     return MultibandImage(bands)
 
 
-def _bsq_parts(image: MultibandImage) -> tuple[str, list[np.ndarray]]:
-    """The header text and each band's payload samples, in band order.
-
-    Each band is its samples as little-endian ``_BSQ_DTYPES``: a view, not
-    a copy, on a little-endian host.
-    """
-    header = (
+def _bsq_header(width: int, height: int, bands: int, dtype: str) -> str:
+    """The header text of a ``bands`` x ``height`` x ``width`` BSQ image."""
+    return (
         f"magic={_BSQ_MAGIC}\n"
-        f"width={image.width}\n"
-        f"height={image.height}\n"
-        f"bands={image.n_bands}\n"
-        f"dtype={image.dtype}\n"
+        f"width={width}\n"
+        f"height={height}\n"
+        f"bands={bands}\n"
+        f"dtype={dtype}\n"
         f"byteorder=le\n"
     )
-    np_dtype = _BSQ_DTYPES[image.dtype]
-    return header, [b.samples.astype(np_dtype, copy=False) for b in image.bands]
+
+
+def _bsq_samples(band: Band) -> np.ndarray:
+    """A band's payload: its samples as little-endian ``_BSQ_DTYPES``.
+
+    A view, not a copy, on a little-endian host.
+    """
+    return band.samples.astype(_BSQ_DTYPES[band.dtype], copy=False)
 
 
 def write_bsq(image: MultibandImage) -> tuple[str, bytes]:
     """Encode an image as a (header text, payload bytes) pair."""
-    header, bands = _bsq_parts(image)
-    return header, b"".join(bands)
+    header = _bsq_header(image.width, image.height, image.n_bands, image.dtype)
+    return header, b"".join(_bsq_samples(b) for b in image.bands)
 
 
 def bsq_paths(path: str) -> tuple[str, str]:

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,7 @@ from gstk.analysis import (
     oif_report_dict,
     rois_from_labels,
 )
-from gstk.cli import _Stage, main
+from gstk.cli import _Stage, _in_order, main
 from conftest import (
     forced_oif_spec,
     oracle_classify,
@@ -146,6 +148,127 @@ class TestConvolve:
         assert code == 0
         frame = 512 * 512 * 4
         assert peak < 11 * frame, peak / frame
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_bands", [2, 8])
+    def test_peak_memory_independent_of_band_count(
+        self, tmp_path, rng, n_bands, workers
+    ):
+        # Bands are convolved, stretched and written as they finish, so at
+        # most workers + 1 int32 fields are live (3 frames), plus a quarter
+        # frame per stretched u8 band (2 at 8 bands) and each running
+        # band's tile or stretch buffers (about 1.5 frames per thread at
+        # 512^2), whatever the band count. Holding one field per band, as
+        # a convolve-everything-first order does, takes 10.75 frames at 8.
+        image = random_image(rng, n_bands, 512, 512, "u16")
+        header, payload = write_bsq(image)
+        (tmp_path / "in.hdr").write_text(header)
+        (tmp_path / "in.bsq").write_bytes(payload)
+        argv = ["convolve", "--in", str(tmp_path / "in.bsq"),
+                "--out", str(tmp_path / "out.bsq"),
+                "--raw-out", str(tmp_path / "raw.npy"),
+                "--workers", str(workers)]
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        frame = 512 * 512 * 4
+        assert peak - len(payload) < 8.5 * frame, (peak - len(payload)) / frame
+
+    @pytest.mark.parametrize("n_bands, name", [(1, "out.pgm"), (3, "out.bsq")])
+    def test_output_bytes_identical_for_any_worker_count(
+        self, tmp_path, rng, monkeypatch, n_bands, name
+    ):
+        # Three tiles per band and eight CPUs on any host: 3 bands run as
+        # band tasks, 1 band gets every worker as a tile thread.
+        monkeypatch.setattr(sys.modules["gstk.convolve"], "_TILE_SAMPLES", 5 * 13)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        image = random_image(rng, n_bands, 15, 13, "u16")
+        if n_bands == 1:
+            (tmp_path / "in.pgm").write_bytes(write_pgm(image.bands[0]))
+            src = tmp_path / "in.pgm"
+        else:
+            header, payload = write_bsq(image)
+            (tmp_path / "in.hdr").write_text(header)
+            (tmp_path / "in.bsq").write_bytes(payload)
+            src = tmp_path / "in.bsq"
+        outputs = []
+        for workers in (1, 2, 5):
+            out = tmp_path / f"w{workers}"
+            out.mkdir()
+            code = main(["convolve", "--in", str(src), "--out", str(out / name),
+                         "--raw-out", str(out / "raw.npy"), "--boundary", "reflect",
+                         "--workers", str(workers)])
+            assert code == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        fields = convolve_image(image, smoothing_template(), BoundaryMode.REFLECT)
+        stack = io.BytesIO()
+        np.save(stack, np.stack([f.samples for f in fields]))
+        assert outputs[0]["raw.npy"] == stack.getvalue()
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("raw_out", [True, False], ids=["raw-out", "no-raw-out"])
+    @pytest.mark.parametrize("fault, code", [("stretch", 3), ("write", 2)])
+    def test_mid_stream_failure_leaves_targets(
+        self, tmp_path, rng, monkeypatch, fault, code, raw_out, workers
+    ):
+        # Band 3's stretch refuses its field, or the second band payload
+        # written to any file fails: either happens after some temporaries
+        # hold bands, and no target may change.
+        image = random_image(rng, 5, 12, 10, "u16")
+        header, payload = write_bsq(image)
+        (tmp_path / "in.hdr").write_text(header)
+        (tmp_path / "in.bsq").write_bytes(payload)
+        targets = ["out.hdr", "out.bsq"] + (["raw.npy"] if raw_out else [])
+        for target in targets:
+            (tmp_path / target).write_bytes(b"old " + target.encode())
+        if fault == "stretch":
+            doomed = convolve(image.bands[3], smoothing_template()).samples
+            real_stretch = gstk.cli.stretch
+
+            def refusing_stretch(field, *args):
+                if np.array_equal(field.samples, doomed):
+                    raise gstk.DomainError("band 3 refused")
+                return real_stretch(field, *args)
+
+            monkeypatch.setattr(gstk.cli, "stretch", refusing_stretch)
+        else:
+            payload_writes = []
+            real_fdopen = os.fdopen
+
+            class FailingFile:
+                def __init__(self, f):
+                    self._f = f
+
+                def write(self, data):
+                    if isinstance(data, np.ndarray):
+                        payload_writes.append(data.nbytes)
+                        if len(payload_writes) == 2:
+                            raise OSError("disk full")
+                    return self._f.write(data)
+
+                def writelines(self, lines):
+                    for line in lines:
+                        self.write(line)
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self._f.close()
+
+            monkeypatch.setattr(
+                os, "fdopen", lambda *a, **kw: FailingFile(real_fdopen(*a, **kw))
+            )
+        argv = ["convolve", "--in", str(tmp_path / "in.bsq"),
+                "--out", str(tmp_path / "out.bsq"), "--workers", str(workers)]
+        if raw_out:
+            argv += ["--raw-out", str(tmp_path / "raw.npy")]
+        assert main(argv) == code
+        for target in targets:
+            assert (tmp_path / target).read_bytes() == b"old " + target.encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["in.hdr", "in.bsq"] + targets
+        )
 
     def test_pgm_single_band(self, tmp_path, rng):
         band = random_band(rng, 9, 9)
@@ -271,6 +394,48 @@ class TestStage:
         assert first.read_bytes() == b"old first"
         assert second.read_bytes() == b"old second"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["first.bin", "second.bin"]
+
+
+class TestInOrder:
+    def test_order_and_in_flight_bound_under_contention(self):
+        # More threads than cores and a short switch interval: results come
+        # back in item order, and no more than threads + 1 tasks are ever
+        # running or finished but not yet taken.
+        lock = threading.Lock()
+        live: set[int] = set()
+        most = 0
+
+        def task(i):
+            nonlocal most
+            with lock:
+                live.add(i)
+                most = max(most, len(live))
+            np.sort(np.arange(2000)[::-1])
+            return i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            taken = []
+            for i in _in_order(task, range(300), 6):
+                taken.append(i)
+                with lock:
+                    live.discard(i)
+        finally:
+            sys.setswitchinterval(interval)
+        assert taken == list(range(300))
+        assert 1 < most <= 7, most
+
+    def test_closing_early_starts_no_further_task(self):
+        # Closing cancels the queued tasks and waits for the running ones;
+        # 5 results taken on 3 threads have submitted at most 5 + 3 tasks.
+        started = []
+        results = _in_order(lambda i: started.append(i) or i, range(100), 3)
+        assert [next(results) for _ in range(5)] == list(range(5))
+        results.close()
+        count = len(started)
+        time.sleep(0.05)
+        assert len(started) == count <= 5 + 3
 
 
 def _fail_oif_after_first_block(monkeypatch) -> list[str]:

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gstk import (
     Band,
@@ -31,6 +32,22 @@ def _set_tile_rows(monkeypatch, rows, width):
 
 def _engine(band, kernel, boundary, **kw):
     return convolve(band, kernel, BoundaryMode(boundary), **kw).samples
+
+
+@st.composite
+def _stencil_cases(draw):
+    """Kernels up to 7x7 with any anchor, drawn from coefficients -2..2 so
+    that rows often share column sets, on bands from 1x1 up."""
+    kh, kw = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    row = st.lists(st.integers(-2, 2), min_size=kw, max_size=kw)
+    grid = draw(st.lists(row, min_size=kh, max_size=kh))
+    anchor = (draw(st.integers(0, kh - 1)), draw(st.integers(0, kw - 1)))
+    height, width = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    dtype = draw(st.sampled_from(["u8", "u16"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    band = random_band(np.random.default_rng(seed), height, width, dtype)
+    kernel = Kernel(tuple(tuple(r) for r in grid), anchor)
+    return kernel, band, draw(st.sampled_from(ALL_BOUNDARIES))
 
 
 def _oracle(band, kernel, boundary):
@@ -154,6 +171,29 @@ class TestOracleEquivalence:
                     assert np.array_equal(
                         _engine(band, k, boundary), _oracle(band, k, boundary)
                     )
+
+    @given(_stencil_cases())
+    @example(
+        (
+            Kernel(
+                tuple(tuple((r * 7 + c) % 5 - 2 for c in range(7)) for r in range(7)),
+                (1, 5),
+            ),
+            Band(np.array([[7, 65535, 0], [1, 2, 300]], dtype=np.uint16)),
+            "reflect",
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_small_integer_kernels_equal_oracle(self, case):
+        # One-sample tiles cut one-row tiles, so every halo crosses a tile
+        # edge; bands smaller than the kernel fold reads more than once.
+        kernel, band, boundary = case
+        expected = _oracle(band, kernel, boundary)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CONV, "_TILE_SAMPLES", 1)
+            for workers in (1, 2, 8):
+                got = _engine(band, kernel, boundary, workers=workers)
+                assert np.array_equal(got, expected), workers
 
     def test_linearity(self, rng):
         # convolve(2A + 3B) = 2 convolve(A) + 3 convolve(B) exactly,
