@@ -231,7 +231,7 @@ def _load_image(path: str) -> MultibandImage:
 
 def _stage_image(stage: _Stage, path: str, image: MultibandImage) -> None:
     shape = (image.n_bands, image.height, image.width)
-    _stage_bands(stage, path, shape, image.dtype, lambda: image.bands)
+    _stage_bands(stage, path, shape, image.dtype, image.bands)
 
 
 def _stage_bands(
@@ -239,12 +239,11 @@ def _stage_bands(
     path: str,
     shape: tuple[int, int, int],
     dtype: str,
-    bands: Callable[[], Iterable[Band]],
-    *,
-    first: bool = False,
+    bands: Iterable[Band],
 ) -> None:
-    """Stage a (bands, height, width) image whose ``bands()`` are written
-    one by one during the commit: a PGM file or a BSQ header/payload pair.
+    """Stage a (bands, height, width) image as a PGM file or a BSQ
+    header/payload pair; ``bands`` is iterated, band by band, only when
+    the payload is written.
     """
     count, height, width = shape
     if path.endswith(".pgm"):
@@ -252,13 +251,13 @@ def _stage_bands(
             raise DomainError(
                 f"cannot write {count} bands to a PGM file; use a BSQ path instead"
             )
-        write = lambda f: f.writelines(write_pgm(b) for b in bands())  # noqa: E731
-        stage.add_writer(path, write, first=first)
+        stage.add_writer(path, lambda f: f.writelines(write_pgm(b) for b in bands))
         return
     header_path, payload_path = bsq_paths(path)
     stage.add_text(header_path, _bsq_header(width, height, count, dtype))
-    write = lambda f: f.writelines(_bsq_samples(b) for b in bands())  # noqa: E731
-    stage.add_writer(payload_path, write, first=first)
+    stage.add_writer(
+        payload_path, lambda f: f.writelines(_bsq_samples(b) for b in bands)
+    )
 
 
 def _stage_labels(stage: _Stage, path: str, cmap: analysis.ClassificationMap) -> None:
@@ -269,14 +268,14 @@ def _stage_stack(
     stage: _Stage,
     path: str,
     shape: tuple[int, int, int],
-    fields: Callable[[], Iterable[np.ndarray]],
-    *,
-    first: bool = False,
+    fields: Iterable[np.ndarray],
 ) -> None:
-    """Stage a (bands, height, width) int32 ``.npy`` stack of ``fields()``.
+    """Stage a (bands, height, width) int32 ``.npy`` stack of ``fields``.
 
     The bytes equal ``np.save`` of the stacked array: a version 1.0 header,
-    then each field's samples in turn, with no stacked copy.
+    then each field's samples in turn, with no stacked copy. The stack is
+    written before the other outputs, so ``fields`` may be computed while
+    it is written and each field dropped once written.
     """
     header = {
         "descr": np.lib.format.dtype_to_descr(np.dtype(np.int32)),
@@ -286,9 +285,9 @@ def _stage_stack(
 
     def write(f: BinaryIO) -> None:
         np.lib.format.write_array_header_1_0(f, header)
-        f.writelines(fields())
+        f.writelines(fields)
 
-    stage.add_writer(path, write, first=first)
+    stage.add_writer(path, write, first=True)
 
 
 def _stage_oif(stage: _Stage, path: str, report: analysis.OifReport) -> None:
@@ -411,8 +410,8 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     shape = (n_bands, image.height, image.width)
     stage = _Stage()
     if args.raw_out:
-        # The stack is written first, one field at a time as bands finish;
-        # the stretched bands are kept for the image written after it.
+        # The stack is written first, each field as its band finishes; the
+        # stretched bands are kept for the image written after it.
         edges: list[Band] = []
 
         def fields() -> Iterator[np.ndarray]:
@@ -421,10 +420,10 @@ def cmd_convolve(args: argparse.Namespace) -> int:
                 yield field.samples
                 del field  # not held while the next band is awaited
 
-        _stage_bands(stage, args.out, shape, "u8", lambda: edges)
-        _stage_stack(stage, args.raw_out, shape, fields, first=True)
+        _stage_bands(stage, args.out, shape, "u8", edges)
+        _stage_stack(stage, args.raw_out, shape, fields())
     else:
-        _stage_bands(stage, args.out, shape, "u8", lambda: (e for e, _ in results))
+        _stage_bands(stage, args.out, shape, "u8", (edge for edge, _ in results))
     with contextlib.closing(results):
         stage.commit()
     print(f"convolved {n_bands} band(s) with {args.kernel} ({args.boundary})")
