@@ -138,10 +138,11 @@ class _Stage:
     that are still being computed, such as convolved bands; a writer added
     with ``first=True`` runs before the others, so it can take values in
     the order they are computed and keep what the later writers need.
-    Everything that can refuse an output is checked when it is added,
-    before anything is written: two outputs that resolve to one file are
-    refused there, since the later rename would otherwise silently replace
-    the earlier output.
+    Targets are replaced only after every temporary is written, and a
+    failure before then removes every temporary. Everything that can
+    refuse an output is checked when it is added, before anything is
+    written: two outputs that resolve to one file are refused there, since
+    the later rename would otherwise silently replace the earlier output.
     """
 
     def __init__(self) -> None:

@@ -71,11 +71,11 @@ def _source(lo: int, hi: int, size: int, boundary: BoundaryMode) -> np.ndarray:
 
 
 def _terms(kernel: Kernel) -> list[tuple[int, tuple[int, ...], list[tuple[int, bool]]]]:
-    """The kernel as a sum of terms ``(g, columns, rows)``.
+    """The kernel as a sum of terms ``(g, columns, shifts)``.
 
     A term is ``V = g * sum(ext[:, c:c + width] for c in columns)``; the
     response adds ``V`` shifted down by ``r`` for each ``(r, True)`` in
-    ``rows`` and subtracts it for each ``(r, False)``. Kernel row ``r``
+    ``shifts`` and subtracts it for each ``(r, False)``. Kernel row ``r``
     holds ``+g`` (or ``-g``) exactly in ``columns``, so rows that share
     their column set and coefficient magnitude share one term.
     """
@@ -84,7 +84,7 @@ def _terms(kernel: Kernel) -> list[tuple[int, tuple[int, ...], list[tuple[int, b
         for coeff in sorted(set(row) - {0}):
             columns = tuple(c for c, v in enumerate(row) if v == coeff)
             terms.setdefault((abs(coeff), columns), []).append((r, coeff > 0))
-    return [(g, columns, rows) for (g, columns), rows in terms.items()]
+    return [(g, columns, shifts) for (g, columns), shifts in terms.items()]
 
 
 def convolve(
@@ -138,9 +138,9 @@ def convolve(
         if 0 <= lo and hi <= height:
             ext[:, ac : ac + width] = samples[lo:hi]
         else:
-            rows = _source(lo, hi, height, boundary)
-            ext[:, ac : ac + width] = samples[rows]
-            ext[rows < 0] = 0
+            index = _source(lo, hi, height, boundary)
+            ext[:, ac : ac + width] = samples[index]
+            ext[index < 0] = 0
         if boundary is BoundaryMode.ZERO:
             ext[:, :ac] = 0
             ext[:, ac + width :] = 0
@@ -153,8 +153,8 @@ def convolve(
         acc = out[r0:r1] if in_place else np.empty((n, width), dtype=acc_dtype)
         scratch = np.empty((hi - lo, width), dtype=acc_dtype)
         started = False
-        for g, columns, rows in terms:
-            top, bottom = rows[0][0], rows[-1][0] + n
+        for g, columns, shifts in terms:
+            top, bottom = shifts[0][0], shifts[-1][0] + n
             v, *more = (ext[top:bottom, c : c + width] for c in columns)
             if more:
                 v = np.add(v, more[0], out=scratch[: bottom - top])
@@ -162,7 +162,7 @@ def convolve(
                     v += rest
             if g != 1:
                 v = np.multiply(v, g, out=scratch[: bottom - top])
-            for r, positive in rows:
+            for r, positive in shifts:
                 part = v[r - top : r - top + n]
                 if started:
                     (np.add if positive else np.subtract)(acc, part, out=acc)
