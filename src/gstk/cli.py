@@ -3,14 +3,21 @@
 Every subcommand is a thin shell over the library: it loads inputs,
 calls the same functions a caller would, and serializes the results.
 Each output file is serialized straight into a temporary sibling, with
-no in-memory copy of its bytes. ``convolve`` writes its temporaries
-while bands are still being computed, each band as soon as it is final;
-the other subcommands compute their outputs first. Only when every
-temporary is written are they renamed into place one by one; any
+no in-memory copy of its bytes. ``convolve`` maps its BSQ input
+read-only, so every band is a view of the file's pages, and writes its
+temporaries while bands are still being computed: as each band
+finishes, its raw responses (with ``--raw-out``) and then its stretched
+band. The other subcommands compute their outputs first. Only when
+every temporary is written are they renamed into place one by one; any
 failure before then removes every temporary and touches no target. Each
 file is therefore replaced atomically and no temporary file is left
 behind, but the set of files is not replaced atomically: if a later
-rename fails, the files already renamed stay replaced.
+rename fails, the files already renamed stay replaced. Truncating a
+mapped input while gstk runs is outside that guarantee: the process may
+die by SIGBUS and leave its temporaries behind.
+
+The ``analysis`` and ``synth`` modules are imported only by the
+subcommands that use them, so ``convolve`` does not load them.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or file-format error,
 3 domain error (invalid values, zero-variance bands, two outputs that
@@ -23,16 +30,16 @@ import argparse
 import contextlib
 import json
 import math
+import mmap
 import os
 import sys
 import tempfile
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import Any, BinaryIO
+from typing import TYPE_CHECKING, Any, BinaryIO
 
 import numpy as np
 
-from . import analysis, synth
 from .convolve import BoundaryMode, convolve
 from .errors import DomainError, FileFormatError, GstkError
 from .kernels import (
@@ -57,10 +64,18 @@ from .raster import (
     write_pgm,
 )
 
+if TYPE_CHECKING:
+    from . import analysis
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_DOMAIN = 3
+
+# The values of analysis.FitMode and analysis.FeatureKind, spelled out so
+# that building the parser does not import analysis.
+_FIT_MODES = ("minmax", "mean_sigma")
+_FEATURE_KINDS = ("raw", "smoothed", "both")
 
 
 # ---------------------------------------------------------------------------
@@ -133,51 +148,58 @@ def _kernel_from_choice(choice: str) -> Kernel:
 class _Stage:
     """Collects output files, then commits each one via temp + rename.
 
-    Each output is a writer, ``write(f)``, that serializes its values into
-    the open temporary file during ``commit``. A writer may pull values
-    that are still being computed, such as convolved bands; a writer added
-    with ``first=True`` runs before the others, so it can take values in
-    the order they are computed and keep what the later writers need.
-    Targets are replaced only after every temporary is written, and a
-    failure before then removes every temporary. Everything that can
-    refuse an output is checked when it is added, before anything is
-    written: two outputs that resolve to one file are refused there, since
-    the later rename would otherwise silently replace the earlier output.
+    Each output is a writer, ``write(*files)``, that serializes values into
+    the open temporary files of its paths during ``commit``; every one of
+    them is created before the writer runs. A writer may pull values that
+    are still being computed, such as convolved bands, and write each to
+    all of its files as it comes, so no value waits for a later writer.
+    Writers run in the order they were added, and targets are replaced,
+    path by path in the order they were added, only after every temporary
+    is written; a failure before then removes every temporary. Everything
+    that can refuse an output is checked when it is added, before anything
+    is written: two outputs that resolve to one file are refused there,
+    since the later rename would otherwise silently replace the earlier
+    output.
     """
 
     def __init__(self) -> None:
-        self._items: dict[str, tuple[str, Callable[[BinaryIO], object], bool]] = {}
+        self._keys: set[str] = set()
+        self._writers: list[tuple[tuple[str, ...], Callable[..., object]]] = []
 
-    def add_writer(
-        self, path: str, write: Callable[[BinaryIO], object], *, first: bool = False
-    ) -> None:
-        key = os.path.realpath(path)
-        if key in self._items:
-            raise DomainError(f"two outputs would be written to {path}")
-        self._items[key] = (path, write, first)
+    def add_writer(self, *paths: str, write: Callable[..., object]) -> None:
+        keys = [os.path.realpath(path) for path in paths]
+        for path, key in zip(paths, keys):
+            if key in self._keys or keys.count(key) > 1:
+                raise DomainError(f"two outputs would be written to {path}")
+        self._keys.update(keys)
+        self._writers.append((paths, write))
 
     def add_bytes(self, path: str, data: bytes) -> None:
-        self.add_writer(path, lambda f: f.write(data))
+        self.add_writer(path, write=lambda f: f.write(data))
 
     def add_text(self, path: str, text: str) -> None:
         self.add_bytes(path, text.encode("utf-8"))
 
     def commit(self) -> None:
-        """Write every temporary, then rename each into place in add order."""
-        items = list(self._items.values())
+        """Run every writer, then rename each temporary into place in add order."""
         temps: dict[str, str] = {}
         try:
-            for path, write, _ in sorted(items, key=lambda item: not item[2]):
-                directory = os.path.dirname(os.path.abspath(path))
-                fd, tmp = tempfile.mkstemp(
-                    dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-                )
-                # Listed before writing, so a writer that fails part-way
-                # still has its temporary removed.
-                temps[path] = tmp
-                with os.fdopen(fd, "wb") as f:
-                    write(f)
-            for path, _, _ in items:
+            for paths, write in self._writers:
+                with contextlib.ExitStack() as stack:
+                    files = []
+                    for path in paths:
+                        directory = os.path.dirname(os.path.abspath(path))
+                        fd, tmp = tempfile.mkstemp(
+                            dir=directory,
+                            prefix=os.path.basename(path) + ".",
+                            suffix=".tmp",
+                        )
+                        # Listed before writing, so a writer that fails
+                        # part-way still has its temporaries removed.
+                        temps[path] = tmp
+                        files.append(stack.enter_context(os.fdopen(fd, "wb")))
+                    write(*files)
+            for path in temps:
                 os.replace(temps[path], path)
         except BaseException:
             for tmp in temps.values():
@@ -219,20 +241,48 @@ def _in_order(task: Callable[[Any], Any], items: Sequence, threads: int) -> Iter
 
 
 def _load_image(path: str) -> MultibandImage:
-    """PGM for single-band input, BSQ header/payload pair otherwise."""
+    """PGM for single-band input, BSQ header/payload pair otherwise.
+
+    A BSQ payload is mapped read-only, not read: the bands are views of
+    the file's pages. mmap refuses an empty file, which is passed as
+    ``b""``.
+    """
     if path.endswith(".pgm"):
         with open(path, "rb") as f:
             return MultibandImage((read_pgm(f.read()),))
     header_path, payload_path = bsq_paths(path)
     header = _read_text(header_path, "ascii")
     with open(payload_path, "rb") as f:
-        payload = f.read()
+        payload = b""
+        if os.fstat(f.fileno()).st_size:
+            payload = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     return read_bsq(header, payload)
 
 
 def _stage_image(stage: _Stage, path: str, image: MultibandImage) -> None:
     shape = (image.n_bands, image.height, image.width)
     _stage_bands(stage, path, shape, image.dtype, image.bands)
+
+
+def _band_payload(
+    stage: _Stage, path: str, shape: tuple[int, int, int], dtype: str
+) -> tuple[str, Callable[[Band], Any]]:
+    """Stage what a (bands, height, width) image needs besides its bands.
+
+    Returns the file the bands are written to, a PGM file or a BSQ
+    payload whose header is staged here, and the encoding of one band
+    there: the whole PGM file, or the band's BSQ samples.
+    """
+    count, height, width = shape
+    if path.endswith(".pgm"):
+        if count != 1:
+            raise DomainError(
+                f"cannot write {count} bands to a PGM file; use a BSQ path instead"
+            )
+        return path, write_pgm
+    header_path, payload_path = bsq_paths(path)
+    stage.add_text(header_path, _bsq_header(width, height, count, dtype))
+    return payload_path, _bsq_samples
 
 
 def _stage_bands(
@@ -246,55 +296,34 @@ def _stage_bands(
     header/payload pair; ``bands`` is iterated, band by band, only when
     the payload is written.
     """
-    count, height, width = shape
-    if path.endswith(".pgm"):
-        if count != 1:
-            raise DomainError(
-                f"cannot write {count} bands to a PGM file; use a BSQ path instead"
-            )
-        stage.add_writer(path, lambda f: f.writelines(write_pgm(b) for b in bands))
-        return
-    header_path, payload_path = bsq_paths(path)
-    stage.add_text(header_path, _bsq_header(width, height, count, dtype))
-    stage.add_writer(
-        payload_path, lambda f: f.writelines(_bsq_samples(b) for b in bands)
-    )
+    payload_path, encode = _band_payload(stage, path, shape, dtype)
+    stage.add_writer(payload_path, write=lambda f: f.writelines(map(encode, bands)))
 
 
 def _stage_labels(stage: _Stage, path: str, cmap: analysis.ClassificationMap) -> None:
+    from . import analysis
+
     stage.add_bytes(path, write_pgm(analysis.classification_to_band(cmap)))
 
 
-def _stage_stack(
-    stage: _Stage,
-    path: str,
-    shape: tuple[int, int, int],
-    fields: Iterable[np.ndarray],
-) -> None:
-    """Stage a (bands, height, width) int32 ``.npy`` stack of ``fields``.
+def _write_stack_header(f: BinaryIO, shape: tuple[int, int, int]) -> None:
+    """The ``.npy`` header of a (bands, height, width) int32 stack.
 
-    The bytes equal ``np.save`` of the stacked array: a version 1.0 header,
-    then each field's samples in turn, with no stacked copy. The stack is
-    written before the other outputs, so ``fields`` may be computed while
-    it is written and each field dropped once written.
+    Followed by each field's samples in turn, the bytes equal ``np.save``
+    of the stacked array: a version 1.0 header, with no stacked copy.
     """
     header = {
         "descr": np.lib.format.dtype_to_descr(np.dtype(np.int32)),
         "fortran_order": False,
         "shape": shape,
     }
-
-    def write(f: BinaryIO) -> None:
-        np.lib.format.write_array_header_1_0(f, header)
-        f.writelines(fields)
-
-    stage.add_writer(path, write, first=True)
+    np.lib.format.write_array_header_1_0(f, header)
 
 
 def _stage_oif(stage: _Stage, path: str, report: analysis.OifReport) -> None:
     """Stage the OIF report, encoded and written one block at a time."""
     stage.add_writer(
-        path, lambda f: f.writelines(b.encode("utf-8") for b in report._blocks())
+        path, write=lambda f: f.writelines(b.encode("utf-8") for b in report._blocks())
     )
 
 
@@ -346,6 +375,8 @@ def _load_field(path: str) -> ResponseField:
 
 def _load_rois(path: str, image: MultibandImage) -> list[analysis.Roi]:
     """ROI JSON by extension, otherwise a PGM label raster."""
+    from . import analysis
+
     if path.endswith(".json"):
         text = _read_text(path, "utf-8")
         return analysis.rois_from_json(text, (image.height, image.width))
@@ -361,6 +392,8 @@ def _load_rois(path: str, image: MultibandImage) -> list[analysis.Roi]:
 
 def _load_truth(path: str, n_classes: int) -> analysis.ClassificationMap:
     """A truth label raster whose labels are 0..``n_classes``."""
+    from . import analysis
+
     with open(path, "rb") as f:
         band = read_pgm(f.read())
     top = int(band.samples.max())
@@ -410,21 +443,22 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     results = _in_order(task, image.bands, threads)
     shape = (n_bands, image.height, image.width)
     stage = _Stage()
+    edges_path, encode = _band_payload(stage, args.out, shape, "u8")
     if args.raw_out:
-        # The stack is written first, each field as its band finishes; the
-        # stretched bands are kept for the image written after it.
-        edges: list[Band] = []
-
-        def fields() -> Iterator[np.ndarray]:
+        # One writer for both files, so each band is written, its field
+        # and then its stretched band, as soon as it finishes.
+        def write(edges: BinaryIO, stack: BinaryIO) -> None:
+            _write_stack_header(stack, shape)
             for edge, field in results:
-                edges.append(edge)
-                yield field.samples
-                del field  # not held while the next band is awaited
+                stack.write(field.samples)
+                edges.write(encode(edge))
+                del edge, field  # not held while the next band is awaited
 
-        _stage_bands(stage, args.out, shape, "u8", edges)
-        _stage_stack(stage, args.raw_out, shape, fields())
+        stage.add_writer(edges_path, args.raw_out, write=write)
     else:
-        _stage_bands(stage, args.out, shape, "u8", (edge for edge, _ in results))
+        stage.add_writer(
+            edges_path, write=lambda f: f.writelines(encode(e) for e, _ in results)
+        )
     with contextlib.closing(results):
         stage.commit()
     print(f"convolved {n_bands} band(s) with {args.kernel} ({args.boundary})")
@@ -432,6 +466,8 @@ def cmd_convolve(args: argparse.Namespace) -> int:
 
 
 def cmd_oif(args: argparse.Namespace) -> int:
+    from . import analysis
+
     image = _load_image(getattr(args, "in"))
     report = analysis.oif_report(image)
     stage = _Stage()
@@ -442,6 +478,8 @@ def cmd_oif(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from . import analysis
+
     image = _load_image(getattr(args, "in"))
     rois = _load_rois(args.rois, image)
     features = analysis.features_for_classification(
@@ -470,6 +508,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import analysis
+
     field_a = _load_field(args.a)
     field_b = _load_field(args.b)
     report = analysis.compare_responses(field_a, field_b, args.threshold)
@@ -487,6 +527,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth
+
     spec = synth.scene_spec_from_json(_read_text(args.spec, "utf-8"))
     image, truth = synth.synth_scene(spec)
     stage = _Stage()
@@ -501,6 +543,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
+    from . import analysis, synth
+
     spec = synth.scene_spec_from_json(_read_text(args.spec, "utf-8"))
     kernel = _kernel_from_choice(args.kernel)
     boundary = BoundaryMode(args.boundary)
@@ -590,8 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_classifier(p: argparse.ArgumentParser, features_help: str) -> None:
         p.add_argument(
             "--mode",
-            choices=[m.value for m in analysis.FitMode],
-            default=analysis.FitMode.MINMAX.value,
+            choices=_FIT_MODES,
+            default="minmax",
             help="box training rule (default: minmax)",
         )
         p.add_argument(
@@ -602,8 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--features",
-            choices=[m.value for m in analysis.FeatureKind],
-            default=analysis.FeatureKind.SMOOTHED.value,
+            choices=_FEATURE_KINDS,
+            default="smoothed",
             help=f"{features_help} (default: smoothed)",
         )
 

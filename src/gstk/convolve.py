@@ -98,9 +98,11 @@ def convolve(
 
     Internally the output is split into row tiles whose height follows the
     band width, computed on up to ``workers`` threads but never on more
-    threads than there are tiles or CPUs. Each tile gathers its own padded
-    input rows (its halo included) and writes a disjoint output region, so
-    the result does not depend on the tiling or on ``workers``. A tile
+    threads than there are tiles or CPUs. Each thread takes a contiguous
+    group of tiles and allocates its tile buffers once for all of them.
+    Each tile gathers its own padded input rows (its halo included) and
+    writes a disjoint output region, so the result does not depend on the
+    tiling or on ``workers``. A tile
     builds each term of the kernel (see ``_terms``) once over the rows its
     shifts read, then adds or subtracts it at each shift. It sums in int16
     when ``kernel.abs_sum() * dtype_max <= 2^15 - 1`` and copies the sum
@@ -130,62 +132,75 @@ def convolve(
     out = np.empty((height, width), dtype=np.int32)
     in_place = acc_dtype is np.int32
 
-    def run_tile(r0: int, r1: int) -> None:
-        # The tile's input rows with their halo, padded on both axes.
-        n = r1 - r0
-        lo, hi = r0 - ar, r1 + kh - 1 - ar
-        ext = np.empty((hi - lo, ac + width + len(right)), dtype=acc_dtype)
-        if 0 <= lo and hi <= height:
-            ext[:, ac : ac + width] = samples[lo:hi]
-        else:
-            index = _source(lo, hi, height, boundary)
-            ext[:, ac : ac + width] = samples[index]
-            ext[index < 0] = 0
-        if boundary is BoundaryMode.ZERO:
-            ext[:, :ac] = 0
-            ext[:, ac + width :] = 0
-        else:
-            ext[:, :ac] = ext[:, ac + left]
-            ext[:, ac + width :] = ext[:, ac + right]
-
-        # Each term is built once, contiguous, over the rows its shifts
-        # read, then added or subtracted at each shift.
-        acc = out[r0:r1] if in_place else np.empty((n, width), dtype=acc_dtype)
-        scratch = np.empty((hi - lo, width), dtype=acc_dtype)
-        started = False
-        for g, columns, shifts in terms:
-            top, bottom = shifts[0][0], shifts[-1][0] + n
-            v, *more = (ext[top:bottom, c : c + width] for c in columns)
-            if more:
-                v = np.add(v, more[0], out=scratch[: bottom - top])
-                for rest in more[1:]:
-                    v += rest
-            if g != 1:
-                v = np.multiply(v, g, out=scratch[: bottom - top])
-            for r, positive in shifts:
-                part = v[r - top : r - top + n]
-                if started:
-                    (np.add if positive else np.subtract)(acc, part, out=acc)
-                else:
-                    (np.positive if positive else np.negative)(part, out=acc)
-                    started = True
-        if not started:  # an all-zero kernel
-            acc.fill(0)
-        if not in_place:
-            out[r0:r1] = acc
-
-    rows = max(1, _TILE_SAMPLES // width)
+    rows = min(height, max(1, _TILE_SAMPLES // width))
     tiles = [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]
+
+    def run_tiles(group: list[tuple[int, int]]) -> None:
+        # One set of buffers per thread, sized for a full tile.
+        ext_buf = np.empty((rows + kh - 1, ac + width + len(right)), dtype=acc_dtype)
+        scratch = np.empty((rows + kh - 1, width), dtype=acc_dtype)
+        acc_buf = None if in_place else np.empty((rows, width), dtype=acc_dtype)
+        for r0, r1 in group:
+            # The tile's input rows with their halo, padded on both axes.
+            n = r1 - r0
+            lo, hi = r0 - ar, r1 + kh - 1 - ar
+            ext = ext_buf[: hi - lo]
+            # Rows inside the band are copied as one slice; only the halo
+            # rows outside it are gathered.
+            a, b = max(lo, 0), min(hi, height)
+            ext[a - lo : b - lo, ac : ac + width] = samples[a:b]
+            for start, stop in ((lo, a), (b, hi)):
+                if start < stop:
+                    index = _source(start, stop, height, boundary)
+                    halo = ext[start - lo : stop - lo]
+                    halo[:, ac : ac + width] = samples[index]
+                    halo[index < 0] = 0
+            if boundary is BoundaryMode.ZERO:
+                ext[:, :ac] = 0
+                ext[:, ac + width :] = 0
+            else:
+                ext[:, :ac] = ext[:, ac + left]
+                ext[:, ac + width :] = ext[:, ac + right]
+
+            # Each term is built once, contiguous, over the rows its shifts
+            # read, then added or subtracted at each shift.
+            acc = out[r0:r1] if in_place else acc_buf[:n]
+            started = False
+            for g, columns, shifts in terms:
+                top, bottom = shifts[0][0], shifts[-1][0] + n
+                v, *more = (ext[top:bottom, c : c + width] for c in columns)
+                if more:
+                    v = np.add(v, more[0], out=scratch[: bottom - top])
+                    for rest in more[1:]:
+                        v += rest
+                if g != 1:
+                    v = np.multiply(v, g, out=scratch[: bottom - top])
+                for r, positive in shifts:
+                    part = v[r - top : r - top + n]
+                    if started:
+                        (np.add if positive else np.subtract)(acc, part, out=acc)
+                    else:
+                        (np.positive if positive else np.negative)(part, out=acc)
+                        started = True
+            if not started:  # an all-zero kernel
+                acc.fill(0)
+            if not in_place:
+                out[r0:r1] = acc
+
     threads = min(workers, len(tiles), os.cpu_count() or 1)
     if threads == 1:
-        for r0, r1 in tiles:
-            run_tile(r0, r1)
+        run_tiles(tiles)
     else:
         # Imported here: the pool costs every gstk start about 6 ms to import.
         from concurrent.futures import ThreadPoolExecutor
 
+        # Each thread takes a contiguous group of tiles.
+        groups = [
+            tiles[len(tiles) * i // threads : len(tiles) * (i + 1) // threads]
+            for i in range(threads)
+        ]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda t: run_tile(*t), tiles))
+            list(pool.map(run_tiles, groups))
     return ResponseField(_frozen(out))
 
 

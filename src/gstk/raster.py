@@ -449,20 +449,30 @@ def stretch(
             # Only percentiles below about 1e-305 make a window this narrow;
             # its lo end would map to 0 * inf = NaN.
             raise DomainError(f"clip window [{lo!r}, {hi!r}] is too narrow to scale")
+        # Each sample maps to floor((clip(x, lo, hi) - lo) * scale + 0.5),
+        # which rounds ties away from zero because the scaled value is >= 0,
+        # in four or five passes with no clip, floor or cap at 255 where
+        # they are identities:
+        # - signed_linear's window is [min, max], so its clip is one; the
+        #   int32 samples convert to float64 exactly, and one subtract
+        #   converts and shifts them.
+        # - After the clip lo <= x <= hi, so by monotone rounding
+        #   0 <= fl(x - lo) <= fl(hi - lo) = d, and with scale = fl(255 / d)
+        #   the scaled value is at most fl(d * fl(255 / d)) <= 255 * (1 +
+        #   2^-52) < 255.5: adding 0.5 gives y in [0.5, 256).
+        # - The u8 cast truncates y toward zero, which for y >= 0.5 is
+        #   floor(y), and floor(y) <= 255 needs no cap.
         buf = np.empty(min(flat.size, _BLOCK), dtype=np.float64)
         for s in range(0, flat.size, _BLOCK):
             block = flat[s : s + _BLOCK]
             x = buf[: block.size]
             if mode == StretchMode.ABS_LINEAR:
                 np.abs(block, out=x, dtype=np.float64)
+                np.clip(x, lo, hi, out=x)
+                x -= lo
             else:
-                x[...] = block
-            np.clip(x, lo, hi, out=x)
-            x -= lo
+                np.subtract(block, lo, out=x, dtype=np.float64)
             x *= scale
-            # floor(x + 0.5) rounds ties away from zero because x >= 0 here.
             x += 0.5
-            np.floor(x, out=x)
-            np.minimum(x, 255.0, out=x)
             out[s : s + block.size] = x
     return Band(_frozen(out.reshape(field.samples.shape)))

@@ -94,9 +94,13 @@ def _affine(indices: np.ndarray, step: int, offset: int, out: np.ndarray) -> np.
     return out
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output function, applied to the uint64 array z in place."""
-    t = np.empty_like(z)
+def _mix(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64's output function, applied to the uint64 array z in place.
+
+    ``t`` is uint64 scratch shaped like ``z``, allocated when not given.
+    """
+    if t is None:
+        t = np.empty_like(z)
     np.right_shift(z, np.uint64(30), out=t)
     z ^= t
     z *= np.uint64(0xBF58476D1CE4E5B9)
@@ -145,11 +149,19 @@ def _polar(seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Box-Muller radius sqrt(-2 ln u(2k)) and angle 2*pi*u(2k+1) of gaussian k."""
     _check_seed(seed)
     idx = np.asarray(indices, dtype=np.uint64)
-    # Uniform 2k mixes seed + (2k+1)*G and uniform 2k+1 mixes that plus G.
     z = np.empty((2,) + idx.shape, dtype=np.uint64)
     _affine(idx, 2 * _GOLDEN, seed + _GOLDEN, z[0, ...])
+    return _polar_words(z, np.empty_like(z))
+
+
+def _polar_words(z: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_polar`` from ``z[0] = seed + (2k+1)*G`` per gaussian k, in place.
+
+    Uniform 2k mixes z[0] and uniform 2k+1 mixes z[0] + G; ``t`` is
+    scratch shaped like ``z``. Returns float64 views of ``z``.
+    """
     np.add(z[0, ...], np.uint64(_GOLDEN), out=z[1, ...])
-    u = _unit(_mix(z))
+    u = _unit(_mix(z, t))
     radius, angle = u[0, ...], u[1, ...]
     np.log(radius, out=radius)
     radius *= -2.0
@@ -460,10 +472,20 @@ def paint_labels(spec: SceneSpec) -> ClassificationMap:
     return ClassificationMap(labels)
 
 
-def _shifted(g: np.ndarray, sigma: np.ndarray, mean: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """mean + sigma * g + 0.5 per pixel, in place; its floor is the rounded pixel."""
-    g *= np.take(sigma, classes)
-    g += np.take(mean, classes)
+def _shifted(
+    g: np.ndarray,
+    sigma: np.ndarray,
+    mean: np.ndarray,
+    classes: np.ndarray,
+    lookup: np.ndarray,
+) -> np.ndarray:
+    """mean + sigma * g + 0.5 per pixel, in place; its floor is the rounded pixel.
+
+    ``lookup`` is float64 scratch shaped like ``g``. Labels are always
+    in range; ``clip`` lets ``take`` write ``lookup`` without a copy.
+    """
+    g *= np.take(sigma, classes, out=lookup, mode="clip")
+    g += np.take(mean, classes, out=lookup, mode="clip")
     g += 0.5
     return g
 
@@ -496,6 +518,19 @@ def synth_scene(spec: SceneSpec) -> tuple[MultibandImage, ClassificationMap]:
         means[:, c] = sig.means
         sigmas[:, c] = sig.sigmas
 
+    # Scratch for one chunk, allocated once. z[0] of pixel j of a chunk is
+    # seed + (2k+1)*G for its stream index k = first + j: the chunk's
+    # offset plus steps[j] = 2G*j, modulo 2^64.
+    size = min(_CHUNK, n_pixels)
+    steps = _affine(np.arange(size, dtype=np.uint64), 2 * _GOLDEN, 0, np.empty(size, np.uint64))
+    words = np.empty(2 * size, dtype=np.uint64)
+    mixing = np.empty_like(words)
+    cos = np.empty(size, dtype=np.float32)
+    values = np.empty(size, dtype=np.float64)
+    pixels = np.empty_like(values)
+    lookup = np.empty_like(values)
+    doubt = np.empty(size, dtype=bool)
+
     bands = []
     for b in range(spec.n_bands):
         sigma, mean = sigmas[b], means[b]
@@ -508,28 +543,32 @@ def synth_scene(spec: SceneSpec) -> tuple[MultibandImage, ClassificationMap]:
         samples = np.empty(n_pixels, dtype=NUMPY_DTYPES[spec.dtype])
         first = b * n_pixels
         for start in range(0, n_pixels, _CHUNK):
-            stop = min(start + _CHUNK, n_pixels)
-            indices = np.arange(first + start, first + stop, dtype=np.uint64)
-            classes = labels[start:stop]
-            radius, angle = _polar(spec.seed, indices)
-            cos = angle.astype(np.float32)
-            np.cos(cos, out=cos)
-            values = radius * cos
-            _shifted(values, sigma, mean, classes)
-            pixels = np.floor(values)
+            n = min(_CHUNK, n_pixels - start)
+            classes = labels[start : start + n]
+            z = words[: 2 * n].reshape(2, n)
+            offset = (spec.seed + _GOLDEN + 2 * _GOLDEN * (first + start)) & _MASK64
+            np.add(steps[:n], np.uint64(offset), out=z[0])
+            radius, angle = _polar_words(z, mixing[: 2 * n].reshape(2, n))
+            c, x, p = cos[:n], values[:n], pixels[:n]
+            c[...] = angle
+            np.cos(c, out=c)
+            np.multiply(radius, c, out=x)
+            _shifted(x, sigma, mean, classes, lookup[:n])
+            np.floor(x, out=p)
             with np.errstate(invalid="ignore"):  # inf - inf is NaN: falls back
-                values -= pixels
-            values -= 0.5
-            np.abs(values, out=values)
-            redo = np.flatnonzero(~(values < limit))
+                x -= p
+            x -= 0.5
+            np.abs(x, out=x)
+            np.less(x, limit, out=doubt[:n])
+            redo = np.flatnonzero(np.logical_not(doubt[:n], out=doubt[:n]))
             if redo.size:
                 exact = _cos64(radius[redo], angle[redo])
-                _shifted(exact, sigma, mean, classes[redo])
-                pixels[redo] = np.floor(exact, out=exact)
+                _shifted(exact, sigma, mean, classes[redo], lookup[: redo.size])
+                p[redo] = np.floor(exact, out=exact)
             # floor(x + 0.5) differs from rounding half away from zero only
             # below zero, where the clamp maps both to 0.
-            np.clip(pixels, 0, top, out=pixels)
-            samples[start:stop] = pixels
+            np.clip(p, 0, top, out=p)
+            samples[start : start + n] = p
         samples = samples.reshape(spec.height, spec.width)
         samples.setflags(write=False)
         bands.append(Band(samples))

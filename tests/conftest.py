@@ -143,6 +143,38 @@ def oracle_stretch(
     return np.array(out, dtype=np.uint8).reshape(samples.shape)
 
 
+def eight_pass_stretch(
+    samples: np.ndarray, mode: str, lo_pct: float = 2.0, hi_pct: float = 98.0
+) -> np.ndarray | None:
+    """The display stretch with the float64 map ``stretch`` used to apply.
+
+    Eight passes over every sample: convert, clip to [lo, hi], subtract
+    lo, multiply by 255 / (hi - lo), add 0.5, floor, cap at 255 and cast
+    to u8. The clip points are numpy's percentiles of the float64
+    magnitudes for ``abs_linear`` and [min, max] for ``signed_linear``. A
+    window with hi <= lo maps to zeros; None means 255 / (hi - lo) is not
+    finite, which stretch refuses.
+    """
+    x = samples.astype(np.float64)
+    if mode == "abs_linear":
+        np.abs(x, out=x)
+        lo, hi = (float(np.percentile(x, p)) for p in (lo_pct, hi_pct))
+    else:
+        lo, hi = float(x.min()), float(x.max())
+    if hi <= lo:
+        return np.zeros(samples.shape, dtype=np.uint8)
+    scale = 255.0 / (hi - lo)
+    if math.isinf(scale):
+        return None
+    np.clip(x, lo, hi, out=x)
+    x -= lo
+    x *= scale
+    x += 0.5
+    np.floor(x, out=x)
+    np.minimum(x, 255.0, out=x)
+    return x.astype(np.uint8)
+
+
 # ---------------------------------------------------------------------------
 # PRNG reference (pure Python, masked 64-bit arithmetic)
 

@@ -135,8 +135,9 @@ class TestConvolve:
             assert code == 0
 
     def test_peak_memory_below_eleven_frames(self, tmp_path, rng):
-        # Input payload, padded input, four responses and the stretched
-        # bands; no stacked or serialized copy of an output.
+        # The bound allows the input payload, padded input, four responses
+        # and the stretched bands; no stacked or serialized copy of an
+        # output. The mapped input is not a traced allocation.
         image = random_image(rng, 4, 512, 512, "u16")
         header, payload = write_bsq(image)
         (tmp_path / "in.hdr").write_text(header)
@@ -156,10 +157,11 @@ class TestConvolve:
     ):
         # Bands are convolved, stretched and written as they finish, so at
         # most workers + 1 int32 fields are live (3 frames), plus a quarter
-        # frame per stretched u8 band (2 at 8 bands) and each running
-        # band's tile or stretch buffers (about 1.5 frames per thread at
-        # 512^2), whatever the band count. Holding one field per band, as
-        # a convolve-everything-first order does, takes 10.75 frames at 8.
+        # frame per stretched u8 band in flight and each running band's
+        # tile or stretch buffers (about 1.5 frames per thread at 512^2),
+        # whatever the band count. The input is mapped, not read, so its
+        # payload is not a traced allocation. Holding one field per band,
+        # as a convolve-everything-first order does, takes 10.75 frames at 8.
         image = random_image(rng, n_bands, 512, 512, "u16")
         header, payload = write_bsq(image)
         (tmp_path / "in.hdr").write_text(header)
@@ -171,7 +173,62 @@ class TestConvolve:
         code, peak = traced_peak(main, argv)
         assert code == 0
         frame = 512 * 512 * 4
-        assert peak - len(payload) < 8.5 * frame, (peak - len(payload)) / frame
+        assert peak < 8.5 * frame, peak / frame
+
+    def test_edges_written_before_next_band_is_stretched(
+        self, tmp_path, rng, monkeypatch
+    ):
+        # With --raw-out, one writer takes both files: band k's stretched
+        # samples are in the edges temporary before band k + 1 is stretched.
+        image = random_image(rng, 4, 12, 10, "u16")
+        header, payload = write_bsq(image)
+        (tmp_path / "in.hdr").write_text(header)
+        (tmp_path / "in.bsq").write_bytes(payload)
+        opened = []
+        real_fdopen = os.fdopen
+
+        def fdopen(*args, **kwargs):
+            opened.append(real_fdopen(*args, **kwargs))
+            return opened[-1]
+
+        seen = []
+        real_stretch = gstk.cli.stretch
+
+        def stretch_after_check(field, *args):
+            [temp] = tmp_path.glob("out.bsq.*.tmp")
+            [edges] = [
+                f for f in opened
+                if not f.closed and os.path.samestat(os.fstat(f.fileno()), temp.stat())
+            ]
+            seen.append(edges.tell())
+            return real_stretch(field, *args)
+
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        monkeypatch.setattr(gstk.cli, "stretch", stretch_after_check)
+        assert main(["convolve", "--in", str(tmp_path / "in.bsq"),
+                     "--out", str(tmp_path / "out.bsq"),
+                     "--raw-out", str(tmp_path / "raw.npy")]) == 0
+        assert seen == [k * 12 * 10 for k in range(4)]
+
+    @pytest.mark.parametrize("raw_out", [True, False], ids=["raw-out", "no-raw-out"])
+    def test_output_replacing_mapped_input(self, tmp_path, rng, raw_out):
+        # The input's pages stay mapped while its files are replaced.
+        image = random_image(rng, 3, 40, 30, "u16")
+        header, payload = write_bsq(image)
+        for stem in ("x", "fresh-in"):
+            (tmp_path / f"{stem}.hdr").write_text(header)
+            (tmp_path / f"{stem}.bsq").write_bytes(payload)
+        for stem, src in (("fresh", "fresh-in"), ("x", "x")):
+            argv = ["convolve", "--in", str(tmp_path / f"{src}.hdr"),
+                    "--out", str(tmp_path / f"{stem}.hdr")]
+            if raw_out:
+                argv += ["--raw-out", str(tmp_path / f"{stem}.npy")]
+            assert main(argv) == 0
+        for suffix in (".hdr", ".bsq") + ((".npy",) if raw_out else ()):
+            assert (tmp_path / f"x{suffix}").read_bytes() == (
+                tmp_path / f"fresh{suffix}"
+            ).read_bytes()
+        assert not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize("n_bands, name", [(1, "out.pgm"), (3, "out.bsq")])
     def test_output_bytes_identical_for_any_worker_count(
@@ -378,22 +435,50 @@ class TestConvolve:
 
 class TestStage:
     def test_failing_writer_leaves_old_files_and_no_temporaries(self, tmp_path):
-        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
-        first.write_bytes(b"old first")
-        second.write_bytes(b"old second")
+        first, second, third = (tmp_path / f"{n}.bin" for n in ("a", "b", "c"))
+        for path in (first, second, third):
+            path.write_bytes(b"old " + path.name.encode())
 
-        def fail_part_way(f):
+        def fail_part_way(f, g):
+            # Both temporaries exist before the writer runs.
+            assert len(list(tmp_path.glob("*.tmp"))) == 3
             f.write(b"partial")
             raise OSError("disk full")
 
         stage = _Stage()
         stage.add_bytes(str(first), b"new first")
-        stage.add_writer(str(second), fail_part_way)
+        stage.add_writer(str(second), str(third), write=fail_part_way)
         with pytest.raises(OSError, match="disk full"):
             stage.commit()
-        assert first.read_bytes() == b"old first"
-        assert second.read_bytes() == b"old second"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["first.bin", "second.bin"]
+        for path in (first, second, third):
+            assert path.read_bytes() == b"old " + path.name.encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "b.bin", "c.bin"]
+
+    def test_one_writer_for_two_files_renames_in_add_order(self, tmp_path, monkeypatch):
+        renamed = []
+        real_replace = os.replace
+        monkeypatch.setattr(
+            "gstk.cli.os.replace", lambda src, dst: (renamed.append(dst), real_replace(src, dst))
+        )
+
+        def write(f, g):
+            for k in range(3):
+                f.write(b"f%d" % k)
+                g.write(b"g%d" % k)
+
+        stage = _Stage()
+        stage.add_writer(str(tmp_path / "x"), str(tmp_path / "y"), write=write)
+        stage.add_text(str(tmp_path / "z"), "z")
+        stage.commit()
+        assert renamed == [str(tmp_path / n) for n in "xyz"]
+        assert (tmp_path / "x").read_bytes() == b"f0f1f2"
+        assert (tmp_path / "y").read_bytes() == b"g0g1g2"
+
+    def test_one_writer_twice_to_one_file_is_refused(self, tmp_path):
+        stage = _Stage()
+        with pytest.raises(gstk.DomainError, match="two outputs"):
+            stage.add_writer(str(tmp_path / "x"), str(tmp_path / "x"), write=print)
+        stage.add_writer(str(tmp_path / "x"), write=print)
 
 
 class TestInOrder:
@@ -972,6 +1057,38 @@ class TestExitCodes:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+    def test_convolve_imports_neither_synth_nor_analysis(self, tmp_path):
+        # Their names in gstk resolve on first use, and the CLI imports
+        # them only in the commands that need them.
+        (tmp_path / "in.pgm").write_bytes(write_pgm(Band(np.eye(4, dtype=np.uint8))))
+        src = os.path.dirname(os.path.dirname(gstk.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        code = (
+            "import sys, gstk, gstk.cli\n"
+            "lazy = ('gstk.synth', 'gstk.analysis')\n"
+            "print([m for m in lazy if m in sys.modules])\n"
+            "gstk.cli.main(['convolve', '--in', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print([m for m in lazy if m in sys.modules])\n"
+            "missing = [n for n in gstk.__all__ if getattr(gstk, n, None) is None]\n"
+            "print(missing, gstk.synth_scene is gstk.synth.synth_scene,\n"
+            "      gstk.classify is gstk.analysis.classify)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "in.pgm"),
+             str(tmp_path / "out.pgm")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "[]", "convolved 1 band(s) with smooth5 (replicate)", "[]", "[] True True"
+        ]
+
+    def test_parser_choices_are_the_enum_values(self):
+        assert gstk.cli._FIT_MODES == tuple(m.value for m in FitMode)
+        assert gstk.cli._FEATURE_KINDS == tuple(m.value for m in analysis.FeatureKind)
+        assert sorted(set(gstk.__all__) - set(dir(gstk))) == []
 
 
 def _fill(argv, **values):

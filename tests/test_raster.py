@@ -21,6 +21,7 @@ from gstk import (
     write_pgm,
 )
 from conftest import (
+    eight_pass_stretch,
     oracle_stretch,
     random_band,
     random_image,
@@ -403,11 +404,55 @@ def _check_against_oracle(values, lo_pct, hi_pct):
         assert clip == type7_percentile(ranked, pct) == float(np.percentile(mags, pct))
 
 
+# Fields for the map: int32 extremes, constant fields, single pixels.
+_MAP_VALUES = st.one_of(
+    st.integers(_INT32_MIN, _INT32_MAX),
+    st.integers(-300, 300),
+    st.sampled_from([_INT32_MIN, _INT32_MIN + 1, _INT32_MAX - 1, _INT32_MAX, 0]),
+)
+
+
+@st.composite
+def _map_cases(draw):
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n = height * width
+    if draw(st.booleans()):
+        samples = [draw(_MAP_VALUES)] * n
+    else:
+        samples = draw(st.lists(_MAP_VALUES, min_size=n, max_size=n))
+    # Wide windows, and narrow ones down to one float apart.
+    p = draw(st.floats(0.0, 99.0))
+    q = draw(
+        st.one_of(
+            st.floats(p, 100.0),
+            st.just(math.nextafter(p, 100.0)),
+            st.floats(p, p + 1e-6),
+        )
+    )
+    if q <= p:
+        q = math.nextafter(p, 100.0)
+    return np.array(samples, dtype=np.int32).reshape(height, width), p, q
+
+
 class TestStretch:
     @given(_stretch_cases())
     @settings(max_examples=150, deadline=None)
     def test_equals_oracle(self, case):
         _check_against_oracle(*case)
+
+    @given(_map_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_eight_pass_map(self, case):
+        values, lo_pct, hi_pct = case
+        field = ResponseField(values)
+        for mode in StretchMode:
+            expected = eight_pass_stretch(values, mode.value, lo_pct, hi_pct)
+            if expected is None:
+                with pytest.raises(DomainError, match="too narrow"):
+                    stretch(field, mode, lo_pct, hi_pct)
+                continue
+            out = stretch(field, mode, lo_pct, hi_pct).samples
+            assert out.tolist() == expected.tolist(), (mode, lo_pct, hi_pct)
 
     @pytest.mark.parametrize(
         "values",
