@@ -33,72 +33,28 @@ from .raster import (
 )
 from .convolve import BoundaryMode, convolve, convolve_image
 
-# The analysis and synth names resolve on first use (PEP 562), so that
+# The modules whose public names resolve on first use (PEP 562), so that
 # importing gstk, or running a command that needs neither, loads neither.
-_LAZY = {
-    "analysis": "analysis",
-    "synth": "synth",
-    **dict.fromkeys(
-        (
-            "BandStats",
-            "ClassSpec",
-            "ClassificationMap",
-            "ComparisonReport",
-            "ConfusionMatrix",
-            "CorrelationMatrix",
-            "FeatureKind",
-            "FitMode",
-            "OifReport",
-            "OifScore",
-            "Roi",
-            "accuracy",
-            "band_stats",
-            "classify",
-            "compare_responses",
-            "correlation",
-            "features_for_classification",
-            "fit_classes",
-            "oif_rank",
-            "oif_report",
-            "oif_report_dict",
-            "rois_from_json",
-            "rois_from_labels",
-        ),
-        "analysis",
-    ),
-    **dict.fromkeys(
-        (
-            "ClassSignature",
-            "Disk",
-            "Placement",
-            "Rectangle",
-            "SceneSpec",
-            "gaussian_stream",
-            "scene_spec_from_json",
-            "scene_spec_to_json",
-            "splitmix64",
-            "synth_scene",
-            "uniform_stream",
-        ),
-        "synth",
-    ),
-}
+# A name is looked up in analysis first; synth imports analysis anyway.
+_LAZY_MODULES = ("analysis", "synth")
 
 
 def __getattr__(name: str):
     from importlib import import_module
 
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    imported = import_module(f"{__name__}.{module}")
-    value = imported if name == module else getattr(imported, name)
-    globals()[name] = value
-    return value
+    if name in _LAZY_MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name in __all__:
+        for module in _LAZY_MODULES:
+            imported = import_module(f"{__name__}.{module}")
+            if hasattr(imported, name):
+                value = globals()[name] = getattr(imported, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
+    return sorted(set(globals()) | set(_LAZY_MODULES) | set(__all__))
 
 
 __version__ = "0.1.0"

@@ -33,6 +33,7 @@ from .raster import (
     stretch,
     _BLOCK,
     _frozen,
+    _magnitudes,
     _readonly,
 )
 
@@ -746,15 +747,6 @@ class ComparisonReport:
                 "sign_agreement": self.sign_agreement,
             },
         }
-
-
-def _magnitudes(samples: np.ndarray) -> np.ndarray:
-    """|samples| of an int32 array as uint32, so that |-2^31| = 2^31.
-
-    ``np.abs`` wraps -2^31 to itself in int32; its bits read as 2^31 in
-    uint32, and every other magnitude reads unchanged.
-    """
-    return np.abs(samples).view(np.uint32)
 
 
 def compare_responses(

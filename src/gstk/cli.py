@@ -4,8 +4,9 @@ Every subcommand is a thin shell over the library: it loads inputs,
 calls the same functions a caller would, and serializes the results.
 Each output file is serialized straight into a temporary sibling, with
 no in-memory copy of its bytes. ``convolve`` maps its BSQ input
-read-only, so every band is a view of the file's pages, and writes its
-temporaries while bands are still being computed: as each band
+read-only, so every band is a view of the file's pages, runs its band
+tasks through ``convolve._in_order``, the one thread runner, and writes
+its temporaries while bands are still being computed: as each band
 finishes, its raw responses (with ``--raw-out``) and then its stretched
 band. The other subcommands compute their outputs first. Only when
 every temporary is written are they renamed into place one by one; any
@@ -34,13 +35,12 @@ import mmap
 import os
 import sys
 import tempfile
-from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable
 from typing import TYPE_CHECKING, Any, BinaryIO
 
 import numpy as np
 
-from .convolve import BoundaryMode, convolve
+from .convolve import BoundaryMode, _in_order, convolve
 from .errors import DomainError, FileFormatError, GstkError
 from .kernels import (
     Kernel,
@@ -210,32 +210,6 @@ class _Stage:
             raise
 
 
-def _in_order(task: Callable[[Any], Any], items: Sequence, threads: int) -> Iterator:
-    """``task(item)`` for each item, yielded in item order.
-
-    With more than one thread the tasks run on a pool of ``threads``, and
-    at most ``threads + 1`` results are in flight: computing, or computed
-    and not yet taken. Closing the iterator cancels the tasks not started.
-    """
-    if threads == 1:
-        yield from map(task, items)
-        return
-    # Imported here: the pool costs every gstk start about 6 ms to import.
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(max_workers=threads)
-    try:
-        pending: deque = deque()
-        for item in items:
-            if len(pending) > threads:
-                yield pending.popleft().result()
-            pending.append(pool.submit(task, item))
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 # ---------------------------------------------------------------------------
 # Image and field I/O helpers
 
@@ -260,8 +234,12 @@ def _load_image(path: str) -> MultibandImage:
 
 
 def _stage_image(stage: _Stage, path: str, image: MultibandImage) -> None:
+    """Stage an image as a PGM file or a BSQ header/payload pair."""
     shape = (image.n_bands, image.height, image.width)
-    _stage_bands(stage, path, shape, image.dtype, image.bands)
+    payload_path, encode = _band_payload(stage, path, shape, image.dtype)
+    stage.add_writer(
+        payload_path, write=lambda f: f.writelines(map(encode, image.bands))
+    )
 
 
 def _band_payload(
@@ -283,21 +261,6 @@ def _band_payload(
     header_path, payload_path = bsq_paths(path)
     stage.add_text(header_path, _bsq_header(width, height, count, dtype))
     return payload_path, _bsq_samples
-
-
-def _stage_bands(
-    stage: _Stage,
-    path: str,
-    shape: tuple[int, int, int],
-    dtype: str,
-    bands: Iterable[Band],
-) -> None:
-    """Stage a (bands, height, width) image as a PGM file or a BSQ
-    header/payload pair; ``bands`` is iterated, band by band, only when
-    the payload is written.
-    """
-    payload_path, encode = _band_payload(stage, path, shape, dtype)
-    stage.add_writer(payload_path, write=lambda f: f.writelines(map(encode, bands)))
 
 
 def _stage_labels(stage: _Stage, path: str, cmap: analysis.ClassificationMap) -> None:
@@ -480,6 +443,8 @@ def cmd_oif(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     from . import analysis
 
+    if args.out_confusion and not args.truth:
+        raise DomainError("--out-confusion requires --truth")
     image = _load_image(getattr(args, "in"))
     rois = _load_rois(args.rois, image)
     features = analysis.features_for_classification(
@@ -499,8 +464,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         if args.out_confusion:
             stage.add_text(args.out_confusion, _json_text(confusion.to_dict()))
         lines.append(f"overall accuracy: {confusion.overall_accuracy:.6f}")
-    elif args.out_confusion:
-        raise DomainError("--out-confusion requires --truth")
     stage.commit()
     for line in lines:
         print(line)
@@ -567,6 +530,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     features, resp_chosen = analysis._features(
         image, analysis.FeatureKind(args.features), kernel, boundary
     )
+    # Compared now, so that neither int32 response is live while the
+    # classifier is trained and run.
+    first = image.bands[0]
+    if resp_chosen is None:
+        resp_chosen = convolve(first, kernel, boundary)
+    resp_baseline = convolve(first, laplacian_template(), boundary)
+    compare = analysis.compare_responses(resp_chosen, resp_baseline, args.threshold)
+    del resp_chosen, resp_baseline
     # Fit on the features' matching subgrid. The compact copy and the ROIs
     # are dropped before the full frame is classified, to keep peak memory.
     compact = MultibandImage(tuple(Band(b.samples[::2, ::2]) for b in features.bands))
@@ -575,12 +546,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     del compact, rois
     cmap = analysis.classify(features, specs)
     confusion = analysis.accuracy(cmap, truth, names)
-
-    first = image.bands[0]
-    if resp_chosen is None:
-        resp_chosen = convolve(first, kernel, boundary)
-    resp_baseline = convolve(first, laplacian_template(), boundary)
-    compare = analysis.compare_responses(resp_chosen, resp_baseline, args.threshold)
 
     oif_report = None
     if image.n_bands >= 3:

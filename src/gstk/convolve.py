@@ -20,7 +20,10 @@ are bit-identical however the rows are tiled and for any worker count.
 from __future__ import annotations
 
 import os
+from collections import deque
+from collections.abc import Callable, Iterator, Sequence
 from enum import Enum
+from typing import Any
 
 import numpy as np
 
@@ -87,6 +90,34 @@ def _terms(kernel: Kernel) -> list[tuple[int, tuple[int, ...], list[tuple[int, b
     return [(g, columns, shifts) for (g, columns), shifts in terms.items()]
 
 
+def _in_order(task: Callable[[Any], Any], items: Sequence, threads: int) -> Iterator:
+    """``task(item)`` for each item, yielded in item order.
+
+    With more than one thread the tasks run on a pool of ``threads``, and
+    at most ``threads + 1`` results are in flight: computing, or computed
+    and not yet taken. A task's exception is raised where its result would
+    have been yielded. Closing the iterator, or an exception, cancels the
+    tasks not started and waits for the running ones.
+    """
+    if threads == 1:
+        yield from map(task, items)
+        return
+    # Imported here: the pool costs every gstk start about 6 ms to import.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        pending: deque = deque()
+        for item in items:
+            if len(pending) > threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(task, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def convolve(
     band: Band,
     kernel: Kernel,
@@ -99,14 +130,15 @@ def convolve(
     Internally the output is split into row tiles whose height follows the
     band width, computed on up to ``workers`` threads but never on more
     threads than there are tiles or CPUs. Each thread takes a contiguous
-    group of tiles and allocates its tile buffers once for all of them.
-    Each tile gathers its own padded input rows (its halo included) and
-    writes a disjoint output region, so the result does not depend on the
-    tiling or on ``workers``. A tile
-    builds each term of the kernel (see ``_terms``) once over the rows its
-    shifts read, then adds or subtracts it at each shift. It sums in int16
-    when ``kernel.abs_sum() * dtype_max <= 2^15 - 1`` and copies the sum
-    into the int32 result; otherwise it sums in the int32 result directly.
+    group of tiles through ``_in_order``, the one thread runner, and
+    allocates its tile buffers once for all of them. Each tile gathers its
+    own padded input rows (its halo included) and writes a disjoint output
+    region, so the result does not depend on the tiling or on ``workers``.
+    A tile builds each term of the kernel (see ``_terms``) once over the
+    rows its shifts read, then adds or subtracts it at each shift. It sums
+    in int16 when ``kernel.abs_sum() * dtype_max <= 2^15 - 1`` and copies
+    the sum into the int32 result; otherwise it sums in the int32 result
+    directly.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
@@ -188,19 +220,13 @@ def convolve(
                 out[r0:r1] = acc
 
     threads = min(workers, len(tiles), os.cpu_count() or 1)
-    if threads == 1:
-        run_tiles(tiles)
-    else:
-        # Imported here: the pool costs every gstk start about 6 ms to import.
-        from concurrent.futures import ThreadPoolExecutor
-
-        # Each thread takes a contiguous group of tiles.
-        groups = [
-            tiles[len(tiles) * i // threads : len(tiles) * (i + 1) // threads]
-            for i in range(threads)
-        ]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_tiles, groups))
+    # Each thread takes a contiguous group of tiles.
+    groups = [
+        tiles[len(tiles) * i // threads : len(tiles) * (i + 1) // threads]
+        for i in range(threads)
+    ]
+    for _ in _in_order(run_tiles, groups, threads):
+        pass
     return ResponseField(_frozen(out))
 
 

@@ -351,6 +351,16 @@ _BLOCK = 2**16
 _LEVEL_BITS = 14
 
 
+def _magnitudes(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|samples| of an int32 array as uint32, so that |-2^31| = 2^31.
+
+    ``np.abs`` wraps -2^31 to itself in int32; its bits read as 2^31 in
+    uint32, and every other magnitude reads unchanged. ``out`` is an
+    int32 buffer to compute them in.
+    """
+    return np.abs(samples, out=out).view(np.uint32)
+
+
 def _magnitude_percentiles(
     flat: np.ndarray, top: int, pcts: tuple[float, float]
 ) -> list[float]:
@@ -374,11 +384,9 @@ def _magnitude_percentiles(
     scratch = np.empty(min(n, _BLOCK), dtype=np.int32)
 
     def magnitude_blocks(shift=0):
-        # np.abs wraps -2^31 to itself in int32; its bits read as 2^31 in
-        # uint32, and every other magnitude reads unchanged.
         for s in range(0, n, _BLOCK):
             block = flat[s : s + _BLOCK]
-            mags = np.abs(block, out=scratch[: block.size]).view(np.uint32)
+            mags = _magnitudes(block, scratch[: block.size])
             yield np.right_shift(mags, np.uint32(shift), out=mags) if shift else mags
 
     counts = np.zeros((top >> shift) + 1, dtype=np.int64)

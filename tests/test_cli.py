@@ -37,7 +37,8 @@ from gstk.analysis import (
     oif_report_dict,
     rois_from_labels,
 )
-from gstk.cli import _Stage, _in_order, main
+from gstk.cli import _Stage, main
+from gstk.convolve import _in_order
 from conftest import (
     forced_oif_spec,
     oracle_classify,
@@ -522,6 +523,28 @@ class TestInOrder:
         time.sleep(0.05)
         assert len(started) == count <= 5 + 3
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_task_error_raised_at_its_item(self, threads):
+        # Items before the failing one are yielded; its exception comes
+        # where its result would have, and no task past the in-flight
+        # bound after it is started, then or later.
+        started = []
+
+        def task(i):
+            started.append(i)
+            if i == 10:
+                raise ValueError("item 10 failed")
+            return i
+
+        results = _in_order(task, range(100), threads)
+        assert [next(results) for _ in range(10)] == list(range(10))
+        with pytest.raises(ValueError, match="item 10 failed"):
+            next(results)
+        count = len(started)
+        time.sleep(0.05)
+        assert len(started) == count
+        assert max(started) <= 10 + threads
+
 
 def _fail_oif_after_first_block(monkeypatch) -> list[str]:
     """Make the OIF writer raise OSError once its first block is written.
@@ -671,8 +694,14 @@ class TestClassify:
         assert not (tmp_path / "map.pgm").exists()
         assert not (tmp_path / "c.json").exists()
 
-    def test_confusion_requires_truth(self, tmp_path):
+    def test_confusion_requires_truth(self, tmp_path, monkeypatch):
+        # Refused before the image is even loaded.
         _write_scene(tmp_path, separable_scene_spec())
+
+        def load_image(path):
+            raise AssertionError(f"{path} was loaded")
+
+        monkeypatch.setattr(gstk.cli, "_load_image", load_image)
         code = main(
             ["classify",
              "--in", str(tmp_path / "scene.bsq"),

@@ -1,5 +1,6 @@
 import concurrent.futures
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -281,6 +282,29 @@ class TestDeterminism:
                 assert pools == ([] if expected == 1 else [expected]), (
                     tile_rows, workers, pools
                 )
+
+    def test_tile_thread_error_propagates(self, rng, monkeypatch):
+        # The first and last tiles gather halo rows through _source on
+        # their tile threads; a failure there is raised by convolve once
+        # both tile threads have stopped.
+        source = CONV._source
+        failed = []
+
+        def failing_source(lo, hi, size, boundary):
+            if threading.current_thread() is not threading.main_thread():
+                failed.append(lo)
+                raise RuntimeError("tile failed")
+            return source(lo, hi, size, boundary)
+
+        monkeypatch.setattr(CONV, "_source", failing_source)
+        monkeypatch.setattr(CONV.os, "cpu_count", lambda: 2)
+        band = random_band(rng, 12, 5)
+        _set_tile_rows(monkeypatch, 3, band.width)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="tile failed"):
+            convolve(band, smoothing_template(), workers=2)
+        assert failed
+        assert threading.active_count() == threads
 
 
 class TestMemory:
