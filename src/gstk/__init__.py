@@ -8,6 +8,17 @@ parallelepiped classification with confusion-matrix scoring, operator
 comparison reports, and a deterministic synthetic scene generator.
 """
 
+import os as _os
+
+# numpy's bundled OpenBLAS starts a pool of worker threads when it loads,
+# and they spin for a while after loading and after each call, taking CPU
+# time from gstk's own band and tile threads: importing numpy 2.4.6 with
+# OpenBLAS 0.3.31 cost 0.18-0.29 s of CPU with the pool against 0.11 s
+# with one thread, on a 2-vCPU Xeon. gstk's one BLAS call, the Gram
+# matrix in analysis._moments, is exact for any thread count. This has to
+# run before numpy is first imported, and a value the caller set is kept.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import DomainError, FileFormatError, GstkError
 from .kernels import (
     Kernel,

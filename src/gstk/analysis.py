@@ -829,40 +829,37 @@ def features_for_classification(
     template) and stretches the response magnitudes to u8, clipped at
     their 2nd and 98th percentiles; ``both`` appends those to the raw bands.
     """
-    return _features(image, kind, kernel, boundary)[0]
+    kind = FeatureKind(kind)
+    smoothed = []
+    if kind != FeatureKind.RAW:
+        kernel = smoothing_template() if kernel is None else kernel
+        smoothed = [_smoothed(b, kind, kernel, boundary)[0] for b in image.bands]
+    return _features(image, kind, smoothed)
+
+
+def _smoothed(
+    band: Band, kind: FeatureKind, kernel: Kernel, boundary: BoundaryMode
+) -> tuple[Band, ResponseField]:
+    """One band's smoothed feature band, and the response it stretches.
+
+    The feature is the response magnitude stretched to u8, held as u16
+    when ``both`` puts it beside u16 raw bands.
+    """
+    resp = convolve(band, kernel, boundary)
+    feature = stretch(resp, StretchMode.ABS_LINEAR)
+    if kind == FeatureKind.BOTH and band.dtype == "u16":
+        feature = Band(_frozen(feature.samples.astype(np.uint16)))
+    return feature, resp
 
 
 def _features(
-    image: MultibandImage,
-    kind: FeatureKind,
-    kernel: Kernel | None,
-    boundary: BoundaryMode,
-) -> tuple[MultibandImage, ResponseField | None]:
-    """``features_for_classification`` plus the first band's response.
-
-    The response is None for ``raw`` features, which convolve nothing.
-    """
-    kind = FeatureKind(kind)
+    image: MultibandImage, kind: FeatureKind, smoothed: Sequence[Band]
+) -> MultibandImage:
+    """The feature image of ``kind`` from ``image`` and its ``_smoothed`` bands."""
     if kind == FeatureKind.RAW:
-        return image, None
-    if kernel is None:
-        kernel = smoothing_template()
-    # Only the first response is kept: one int32 frame per band would
-    # otherwise be live at once.
-    first = None
-    smoothed = []
-    for band in image.bands:
-        resp = convolve(band, kernel, boundary)
-        if first is None:
-            first = resp
-        smoothed.append(stretch(resp, StretchMode.ABS_LINEAR))
+        return image
     names = [image.name_of(i) + " smoothed" for i in range(image.n_bands)]
     if kind == FeatureKind.SMOOTHED:
-        return MultibandImage(tuple(smoothed), tuple(names)), first
-    if image.dtype == "u16":
-        smoothed = [Band(_frozen(b.samples.astype(np.uint16))) for b in smoothed]
+        return MultibandImage(tuple(smoothed), tuple(names))
     raw_names = [image.name_of(i) for i in range(image.n_bands)]
-    features = MultibandImage(
-        tuple(image.bands) + tuple(smoothed), tuple(raw_names + names)
-    )
-    return features, first
+    return MultibandImage(tuple(image.bands) + tuple(smoothed), tuple(raw_names + names))

@@ -8,14 +8,19 @@ read-only, so every band is a view of the file's pages, runs its band
 tasks through ``convolve._in_order``, the one thread runner, and writes
 its temporaries while bands are still being computed: as each band
 finishes, its raw responses (with ``--raw-out``) and then its stretched
-band. The other subcommands compute their outputs first. Only when
-every temporary is written are they renamed into place one by one; any
-failure before then removes every temporary and touches no target. Each
-file is therefore replaced atomically and no temporary file is left
-behind, but the set of files is not replaced atomically: if a later
-rename fails, the files already renamed stay replaced. Truncating a
-mapped input while gstk runs is outside that guarantee: the process may
-die by SIGBUS and leave its temporaries behind.
+band. ``pipeline`` runs one task per band through the same runner: each
+task renders its band of the scene, then convolves and stretches it into
+its feature band, and band 1's task also compares the chosen response
+with the Laplacian's. The tasks run on threads only when the bands are
+large enough to gain (see ``_THREADED_BAND_PIXELS``); every artifact has
+the same bytes either way. Every subcommand but ``convolve`` computes its
+outputs first. Only when every temporary is written are they renamed
+into place one by one; any failure before then removes every temporary
+and touches no target. Each file is therefore replaced atomically and no
+temporary file is left behind, but the set of files is not replaced
+atomically: if a later rename fails, the files already renamed stay
+replaced. Truncating a mapped input while gstk runs is outside that
+guarantee: the process may die by SIGBUS and leave its temporaries behind.
 
 The ``analysis`` and ``synth`` modules are imported only by the
 subcommands that use them, so ``convolve`` does not load them.
@@ -71,6 +76,17 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_DOMAIN = 3
+
+# Smallest band, in pixels, whose pipeline band tasks run on threads.
+# Each run a fresh process on a 2-vCPU Xeon, 16 alternating pairs, median
+# wall serial against threaded, and the pairs the threads won, for 6 u8
+# bands of 512^2: 0.264 / 0.265 s, 3 of 16; 1024^2: 0.574 / 0.558 s, 4;
+# 1240^2: 0.752 / 0.776 s, 1; 1448^2: 1.152 / 1.082 s, 10; 1536^2:
+# 1.116 / 0.959 s, 16. 96 u16 bands of 256^2: 0.726 / 0.749 s, 7. A
+# probe saw this host keep a new process's two busy threads on one CPU
+# for about its first second, so short runs pay for threads and gain
+# nothing.
+_THREADED_BAND_PIXELS = 1_600_000
 
 # The values of analysis.FitMode and analysis.FeatureKind, spelled out so
 # that building the parser does not import analysis.
@@ -445,6 +461,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     if args.out_confusion and not args.truth:
         raise DomainError("--out-confusion requires --truth")
+    # Both outputs are staged before the image is loaded, so two that
+    # resolve to one file are refused first; their writers read ``cmap``
+    # and ``confusion`` when the stage commits.
+    stage = _Stage()
+    stage.add_writer(
+        args.out_map,
+        write=lambda f: f.write(write_pgm(analysis.classification_to_band(cmap))),
+    )
+    if args.out_confusion:
+        stage.add_writer(
+            args.out_confusion,
+            write=lambda f: f.write(_json_text(confusion.to_dict()).encode("utf-8")),
+        )
     image = _load_image(getattr(args, "in"))
     rois = _load_rois(args.rois, image)
     features = analysis.features_for_classification(
@@ -455,14 +484,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     )
     specs = analysis.fit_classes(features, rois, analysis.FitMode(args.mode), args.k)
     cmap = analysis.classify(features, specs)
-    stage = _Stage()
-    _stage_labels(stage, args.out_map, cmap)
     lines = [f"classified {cmap.width * cmap.height} pixels into {len(specs)} classes"]
     if args.truth:
         truth = _load_truth(args.truth, len(rois))
         confusion = analysis.accuracy(cmap, truth, [r.name for r in rois])
-        if args.out_confusion:
-            stage.add_text(args.out_confusion, _json_text(confusion.to_dict()))
         lines.append(f"overall accuracy: {confusion.overall_accuracy:.6f}")
     stage.commit()
     for line in lines:
@@ -511,8 +536,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     spec = synth.scene_spec_from_json(_read_text(args.spec, "utf-8"))
     kernel = _kernel_from_choice(args.kernel)
     boundary = BoundaryMode(args.boundary)
+    kind = analysis.FeatureKind(args.features)
 
-    image, truth = synth.synth_scene(spec)
+    truth = synth.paint_labels(spec)
     # Training set: the even-coordinate subgrid of the truth map. Held-out
     # pixels are everything else; accuracy below is over all labeled pixels.
     names = [sig.name for sig in spec.signatures]
@@ -527,17 +553,28 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if untrained:
         raise DomainError("; ".join(untrained))
 
-    features, resp_chosen = analysis._features(
-        image, analysis.FeatureKind(args.features), kernel, boundary
-    )
-    # Compared now, so that neither int32 response is live while the
-    # classifier is trained and run.
-    first = image.bands[0]
-    if resp_chosen is None:
-        resp_chosen = convolve(first, kernel, boundary)
-    resp_baseline = convolve(first, laplacian_template(), boundary)
-    compare = analysis.compare_responses(resp_chosen, resp_baseline, args.threshold)
-    del resp_chosen, resp_baseline
+    render = synth._band_renderer(spec, truth)
+
+    def task(b: int) -> tuple[Band, Band | None, analysis.ComparisonReport | None]:
+        band = render(b)
+        feature = resp = compare = None
+        if kind != analysis.FeatureKind.RAW:
+            feature, resp = analysis._smoothed(band, kind, kernel, boundary)
+        if b == 0:
+            # Compared here, so that no int32 response outlives its task.
+            if resp is None:
+                resp = convolve(band, kernel, boundary)
+            baseline = convolve(band, laplacian_template(), boundary)
+            compare = analysis.compare_responses(resp, baseline, args.threshold)
+        return band, feature, compare
+
+    threads = 1
+    if spec.width * spec.height >= _THREADED_BAND_PIXELS:
+        threads = min(os.cpu_count() or 1, spec.n_bands)
+    bands, smoothed, reports = zip(*_in_order(task, range(spec.n_bands), threads))
+    image = MultibandImage(bands)
+    features = analysis._features(image, kind, smoothed)
+    compare = reports[0]
     # Fit on the features' matching subgrid. The compact copy and the ROIs
     # are dropped before the full frame is classified, to keep peak memory.
     compact = MultibandImage(tuple(Band(b.samples[::2, ::2]) for b in features.bands))

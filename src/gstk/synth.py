@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, FileFormatError
-from .raster import Band, DTYPE_MAX, MultibandImage, NUMPY_DTYPES
+from .raster import Band, DTYPE_MAX, MultibandImage, NUMPY_DTYPES, _frozen
 from .analysis import ClassificationMap
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -41,13 +43,16 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # 1 GiB of int32 labels.
 MAX_SCENE_SAMPLES = 2**28
 
-# Pixels per chunk in synth_scene. Measured with the float32 cosine on the
-# perfbench pipeline scenes (seeds 1-3, 15 runs each, 2-vCPU Xeon), median
-# synth_scene seconds for 16384 / 32768 / 65536: 1536x1536x6 u8 0.54 /
-# 0.51 / 0.52, 256x256x96 u16 0.27 / 0.26 / 0.27, every gap inside the
-# quartile spread. Chunks of 4096 or fewer pay Python overhead on every
-# call.
-_CHUNK = 16384
+# Pixels per chunk of a rendered band. Rendering alone, the perfbench
+# pipeline scenes at seed 1 on a 2-vCPU Xeon, median of 15 rotated
+# rounds for 16384 / 32768 / 65536: 1536x1536x6 u8 serially 0.271 /
+# 0.279 / 0.296 s and on 2 band threads 0.256 / 0.190 / 0.173 s;
+# 256x256x96 u16 serially 0.138 / 0.136 / 0.149 s. Threads gain only
+# with larger chunks, whose fewer calls contend less for the GIL. A
+# serial band slows at 65536, likely because its 3.9 MiB of chunk
+# scratch outgrows the 2 MiB L2 cache.
+# Chunks of 4096 or fewer pay Python overhead on every call.
+_CHUNK = 32768
 
 # Float32 cosine filter. synth_scene computes each pixel's
 # x = fl(fl(fl(fl(r * c) * sigma) + mean) + 0.5), whose floor is the pixel
@@ -495,18 +500,17 @@ def _cos64(radius: np.ndarray, angle: np.ndarray) -> np.ndarray:
     return radius * np.cos(angle)
 
 
-def synth_scene(spec: SceneSpec) -> tuple[MultibandImage, ClassificationMap]:
-    """Render the scene: per-pixel gaussian around each class signature.
+def _band_renderer(spec: SceneSpec, truth: ClassificationMap) -> Callable[[int], Band]:
+    """``render(b)``: band b of the scene whose painted labels are ``truth``.
 
-    value(band, row, col) = clamp(round(mean + sigma * g), 0, dtype_max)
-    with rounding half away from zero and g drawn from the pixel's own
-    stream index, so output is identical however the scene is tiled.
+    Each band depends only on its own stream indices, so threads may
+    render bands at once, in any order, with the same bytes. Each thread
+    allocates its chunk scratch once, on its first band.
 
-    g's Box-Muller cosine is taken in float32, and each pixel whose
+    The Box-Muller cosine is taken in float32, and each pixel whose
     rounding that leaves in doubt (see ``_COS_ERR``) takes the float64
     cosine of its own angle, so the bytes are those of the float64 formula.
     """
-    truth = paint_labels(spec)
     labels = truth.labels.reshape(-1)
     top = DTYPE_MAX[spec.dtype]
     n_pixels = spec.height * spec.width
@@ -518,21 +522,24 @@ def synth_scene(spec: SceneSpec) -> tuple[MultibandImage, ClassificationMap]:
         means[:, c] = sig.means
         sigmas[:, c] = sig.sigmas
 
-    # Scratch for one chunk, allocated once. z[0] of pixel j of a chunk is
-    # seed + (2k+1)*G for its stream index k = first + j: the chunk's
-    # offset plus steps[j] = 2G*j, modulo 2^64.
+    # z[0] of pixel j of a chunk is seed + (2k+1)*G for its stream index
+    # k = first + j: the chunk's offset plus steps[j] = 2G*j, modulo 2^64.
     size = min(_CHUNK, n_pixels)
     steps = _affine(np.arange(size, dtype=np.uint64), 2 * _GOLDEN, 0, np.empty(size, np.uint64))
-    words = np.empty(2 * size, dtype=np.uint64)
-    mixing = np.empty_like(words)
-    cos = np.empty(size, dtype=np.float32)
-    values = np.empty(size, dtype=np.float64)
-    pixels = np.empty_like(values)
-    lookup = np.empty_like(values)
-    doubt = np.empty(size, dtype=bool)
+    local = threading.local()
 
-    bands = []
-    for b in range(spec.n_bands):
+    def render(b: int) -> Band:
+        if not hasattr(local, "scratch"):
+            local.scratch = (
+                np.empty(2 * size, dtype=np.uint64),  # words
+                np.empty(2 * size, dtype=np.uint64),  # mixing
+                np.empty(size, dtype=np.float32),  # cos
+                np.empty(size, dtype=np.float64),  # values
+                np.empty(size, dtype=np.float64),  # pixels
+                np.empty(size, dtype=np.float64),  # lookup
+                np.empty(size, dtype=bool),  # doubt
+            )
+        words, mixing, cos, values, pixels, lookup, doubt = local.scratch
         sigma, mean = sigmas[b], means[b]
         # A pixel is decided by its float32-cosine value x' when x' lies
         # more than the band's bound on |x' - x| from every integer, that
@@ -569,7 +576,20 @@ def synth_scene(spec: SceneSpec) -> tuple[MultibandImage, ClassificationMap]:
             # below zero, where the clamp maps both to 0.
             np.clip(p, 0, top, out=p)
             samples[start : start + n] = p
-        samples = samples.reshape(spec.height, spec.width)
-        samples.setflags(write=False)
-        bands.append(Band(samples))
-    return MultibandImage(tuple(bands)), truth
+        return Band(_frozen(samples.reshape(spec.height, spec.width)))
+
+    return render
+
+
+def synth_scene(spec: SceneSpec) -> tuple[MultibandImage, ClassificationMap]:
+    """Render the scene: per-pixel gaussian around each class signature.
+
+    value(band, row, col) = clamp(round(mean + sigma * g), 0, dtype_max)
+    with rounding half away from zero and g drawn from the pixel's own
+    stream index, so output is identical however the scene is tiled or
+    whichever thread renders a band. Each band is rendered by
+    ``_band_renderer``, which ``gstk pipeline`` runs as band tasks.
+    """
+    truth = paint_labels(spec)
+    render = _band_renderer(spec, truth)
+    return MultibandImage(tuple(map(render, range(spec.n_bands)))), truth

@@ -712,6 +712,26 @@ class TestClassify:
         assert code == 3
         assert not (tmp_path / "map.pgm").exists()
 
+    def test_colliding_outputs_refused_before_load(self, tmp_path, capsys, monkeypatch):
+        _write_scene(tmp_path, separable_scene_spec())
+
+        def load_image(path):
+            raise AssertionError(f"{path} was loaded")
+
+        monkeypatch.setattr(gstk.cli, "_load_image", load_image)
+        code = main(
+            ["classify",
+             "--in", str(tmp_path / "scene.bsq"),
+             "--rois", str(tmp_path / "truth.pgm"),
+             "--truth", str(tmp_path / "truth.pgm"),
+             "--out-map", str(tmp_path / "m.pgm"),
+             "--out-confusion", str(tmp_path / "." / "m.pgm")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"two outputs would be written to {tmp_path / '.' / 'm.pgm'}" in err
+        assert not (tmp_path / "m.pgm").exists()
+
     def test_mean_sigma_mode(self, tmp_path):
         _write_scene(tmp_path, separable_scene_spec())
         code = main(
@@ -969,6 +989,72 @@ class TestPipeline:
                 tmp_path / "r2" / name
             ).read_bytes(), name
 
+    def test_artifacts_independent_of_band_threads(self, tmp_path, capsys, monkeypatch):
+        # The bound is lowered so that this small scene's band tasks run on
+        # threads; every artifact and stdout must equal the serial run's.
+        names = ("scene.hdr", "scene.bsq", "truth.pgm", "features.hdr",
+                 "features.bsq", "map.pgm", "confusion.json", "compare.json",
+                 "oif.json")
+        in_order = gstk.cli._in_order
+        used = []
+
+        def spy(task, items, threads):
+            used.append(threads)
+            return in_order(task, items, threads)
+
+        monkeypatch.setattr(gstk.cli, "_in_order", spy)
+
+        def run(tag, argv):
+            assert main(argv + ["--out-dir", str(tmp_path / tag)]) == 0
+            files = [(tmp_path / tag / name).read_bytes() for name in names]
+            return files, capsys.readouterr().out
+
+        for seed in (1, 2, 3):
+            spec = tmp_path / f"spec{seed}.json"
+            spec.write_text(scene_spec_to_json(separable_scene_spec(seed=seed)))
+            for features in ("smoothed", "raw", "both"):
+                argv = ["pipeline", "--spec", str(spec), "--features", features]
+                with monkeypatch.context() as patch:
+                    patch.setattr(os, "cpu_count", lambda: 4)
+                    expected = run("serial", argv)
+                assert used.pop() == 1
+                for cpus in (1, 2, 4):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(os, "cpu_count", lambda: cpus)
+                        patch.setattr(gstk.cli, "_THREADED_BAND_PIXELS", 80 * 80)
+                        assert run(f"t{cpus}", argv) == expected, (seed, features, cpus)
+                    assert used.pop() == min(cpus, 3)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failing_band_task_leaves_nothing(self, tmp_path, capsys, monkeypatch, cpus):
+        # Band 2's task fails while the others run or have finished: the
+        # error is mapped to its exit code, and nothing is written.
+        import gstk.synth as synth
+
+        renderer = synth._band_renderer
+
+        def failing_renderer(spec, truth):
+            render = renderer(spec, truth)
+
+            def failing(b):
+                if b == 2:
+                    raise gstk.DomainError("band 2 failed")
+                return render(b)
+
+            return failing
+
+        monkeypatch.setattr(synth, "_band_renderer", failing_renderer)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(gstk.cli, "_THREADED_BAND_PIXELS", 1)
+        (tmp_path / "spec.json").write_text(scene_spec_to_json(separable_scene_spec()))
+        out = tmp_path / "run"
+        out.mkdir()
+        code = main(["pipeline", "--spec", str(tmp_path / "spec.json"),
+                     "--out-dir", str(out)])
+        assert code == 3
+        assert "band 2 failed" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize(
         "regions, message",
         [
@@ -1086,6 +1172,21 @@ class TestExitCodes:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+    def test_import_defaults_openblas_to_one_thread(self, preset, expected):
+        src = os.path.dirname(os.path.dirname(gstk.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        path = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = "import os, gstk; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
 
     def test_convolve_imports_neither_synth_nor_analysis(self, tmp_path):
         # Their names in gstk resolve on first use, and the CLI imports
