@@ -42,7 +42,7 @@ from .raster import (
     write_bsq,
     write_pgm,
 )
-from .convolve import BoundaryMode, convolve, convolve_image
+from .convolve import BoundaryMode, convolve
 
 # The modules whose public names resolve on first use (PEP 562), so that
 # importing gstk, or running a command that needs neither, loads neither.
@@ -102,7 +102,6 @@ __all__ = [
     "classify",
     "compare_responses",
     "convolve",
-    "convolve_image",
     "correlation",
     "derive_quadrant_template",
     "features_for_classification",
@@ -122,11 +121,9 @@ __all__ = [
     "scene_spec_from_json",
     "scene_spec_to_json",
     "smoothing_template",
-    "splitmix64",
     "stretch",
     "symmetrize",
     "synth_scene",
-    "uniform_stream",
     "write_bsq",
     "write_pgm",
 ]

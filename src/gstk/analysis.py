@@ -88,6 +88,14 @@ class _Moments(NamedTuple):
     def stddev(self, i: int) -> float:
         return math.sqrt(self.scatter(i, i) / self.n**2)
 
+    def pearson(self, i: int, j: int) -> float | None:
+        """Pearson correlation of bands i and j; None when either is constant.
+
+        A band is constant exactly when its scatter, and so its stddev, is 0.
+        """
+        s = self.stddev(i) * self.stddev(j)
+        return self.scatter(i, j) / self.n**2 / s if s else None
+
 
 def _moments(planes: Sequence[np.ndarray]) -> _Moments:
     """Exact moments of equally sized u8, u16 or uint32 arrays.
@@ -182,15 +190,13 @@ def correlation(image: MultibandImage) -> CorrelationMatrix:
     moments = _moments([b.samples for b in image.bands])
     stds = tuple(moments.stddev(i) for i in range(n))
     flagged = tuple(i for i in range(n) if moments.scatter(i, i) == 0)
-    n2 = moments.n**2
     r = np.full((n, n), np.nan, dtype=np.float64)
     np.fill_diagonal(r, 1.0)
     for i in range(n):
         for j in range(i + 1, n):
-            if i in flagged or j in flagged:
-                continue
-            cov = moments.scatter(i, j) / n2
-            r[i, j] = r[j, i] = cov / (stds[i] * stds[j])
+            v = moments.pearson(i, j)
+            if v is not None:
+                r[i, j] = r[j, i] = v
     return CorrelationMatrix(r, flagged, stds)
 
 
@@ -223,7 +229,6 @@ def _rank_triples(
     holds the 255-band cap.
     """
     n = image.n_bands
-    _require_triples(n)
     dead = [image.name_of(i) for i in corr.zero_variance_bands]
     if dead:
         raise DomainError(f"zero-variance bands: {', '.join(dead)}")
@@ -380,6 +385,7 @@ class OifReport:
 
 def oif_report(image: MultibandImage) -> OifReport:
     """Rank every band triple of ``image`` and keep what the ranking used."""
+    _require_triples(image.n_bands)
     corr = correlation(image)
     triples, scores = _rank_triples(image, corr)
     bands = tuple(image.name_of(i) for i in range(image.n_bands))
@@ -791,16 +797,11 @@ def compare_responses(
         )
         for i in range(2)
     )
-    if moments.scatter(0, 0) == 0 or moments.scatter(1, 1) == 0:
-        corr = None
-    else:
-        cov = moments.scatter(0, 1) / n**2
-        corr = cov / (sum_a.stddev_magnitude * sum_b.stddev_magnitude)
     return ComparisonReport(
         threshold=threshold,
         a=sum_a,
         b=sum_b,
-        magnitude_correlation=corr,
+        magnitude_correlation=moments.pearson(0, 1),
         sign_agreement=agree / n,
     )
 

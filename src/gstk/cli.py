@@ -423,21 +423,20 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     shape = (n_bands, image.height, image.width)
     stage = _Stage()
     edges_path, encode = _band_payload(stage, args.out, shape, "u8")
-    if args.raw_out:
-        # One writer for both files, so each band is written, its field
-        # and then its stretched band, as soon as it finishes.
-        def write(edges: BinaryIO, stack: BinaryIO) -> None:
-            _write_stack_header(stack, shape)
-            for edge, field in results:
-                stack.write(field.samples)
-                edges.write(encode(edge))
-                del edge, field  # not held while the next band is awaited
 
-        stage.add_writer(edges_path, args.raw_out, write=write)
-    else:
-        stage.add_writer(
-            edges_path, write=lambda f: f.writelines(encode(e) for e, _ in results)
-        )
+    # One writer for both files, so each band is written, its field (with
+    # --raw-out) and then its stretched band, as soon as it finishes.
+    def write(edges: BinaryIO, stack: BinaryIO | None = None) -> None:
+        if stack is not None:
+            _write_stack_header(stack, shape)
+        for edge, field in results:
+            if stack is not None:
+                stack.write(field.samples)
+            edges.write(encode(edge))
+            del edge, field  # not held while the next band is awaited
+
+    raw_paths = [args.raw_out] if args.raw_out else []
+    stage.add_writer(edges_path, *raw_paths, write=write)
     with contextlib.closing(results):
         stage.commit()
     print(f"convolved {n_bands} band(s) with {args.kernel} ({args.boundary})")

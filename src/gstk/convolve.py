@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import Kernel
-from .raster import Band, MultibandImage, ResponseField, _frozen
+from .raster import Band, ResponseField, _frozen
 
 _INT16_MAX = 2**15 - 1
 _INT32_MAX = 2**31 - 1
@@ -228,14 +228,3 @@ def convolve(
     for _ in _in_order(run_tiles, groups, threads):
         pass
     return ResponseField(_frozen(out))
-
-
-def convolve_image(
-    image: MultibandImage,
-    kernel: Kernel,
-    boundary: BoundaryMode = BoundaryMode.REPLICATE,
-    *,
-    workers: int = 1,
-) -> list[ResponseField]:
-    """Convolve every band, preserving band order."""
-    return [convolve(b, kernel, boundary, workers=workers) for b in image.bands]

@@ -106,9 +106,6 @@ class Kernel:
     def abs_sum(self) -> int:
         return sum(abs(c) for row in self.coeffs for c in row)
 
-    def nonzero_count(self) -> int:
-        return sum(1 for row in self.coeffs for c in row if c != 0)
-
     def is_d4_symmetric(self) -> bool:
         """True if invariant under all 8 square symmetries about the anchor."""
         if self.rows != self.cols or self.rows % 2 == 0:

@@ -8,10 +8,13 @@ depends on generation order, tiling, or how much of the scene is rendered.
 
 Stream layout: pixel (band, row, col) of a width-W, height-H scene draws
 its gaussian from stream index band*H*W + row*W + col, and gaussian k
-consumes uniforms 2k and 2k+1 (Box-Muller, cosine branch). The words and
-uniforms are exact on every platform; the gaussians go through numpy's
-log, sqrt and cos, whose last bit may differ between hosts (see the PRNG
-section of docs/formats.md).
+consumes uniforms 2k and 2k+1 (Box-Muller, cosine branch). Uniform i is
+((w >> 11) + 1) * 2**-53, in (0, 1], of the SplitMix64 word
+w = mix(seed + (i+1) * 0x9E3779B97F4A7C15), so word 0 is the first of a
+sequential SplitMix64 seeded the same way. The words and uniforms are
+exact on every platform; the gaussians go through numpy's log, sqrt and
+cos, whose last bit may differ between hosts (see the PRNG section of
+docs/formats.md).
 
 Rendering evaluates each band in contiguous chunks of pixels in row-major
 order, so no full-frame temporary is built; by the counter-based layout
@@ -99,13 +102,11 @@ def _affine(indices: np.ndarray, step: int, offset: int, out: np.ndarray) -> np.
     return out
 
 
-def _mix(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """SplitMix64's output function, applied to the uint64 array z in place.
 
-    ``t`` is uint64 scratch shaped like ``z``, allocated when not given.
+    ``t`` is uint64 scratch shaped like ``z``.
     """
-    if t is None:
-        t = np.empty_like(z)
     np.right_shift(z, np.uint64(30), out=t)
     z ^= t
     z *= np.uint64(0xBF58476D1CE4E5B9)
@@ -130,40 +131,12 @@ def _unit(words: np.ndarray) -> np.ndarray:
     return out
 
 
-def splitmix64(seed: int, indices: np.ndarray) -> np.ndarray:
-    """SplitMix64 output words at the given stream indices.
-
-    output(i) = mix(seed + (i+1) * 0x9E3779B97F4A7C15), so index 0 yields
-    the first word a sequential SplitMix64 seeded the same way would.
-    """
-    _check_seed(seed)
-    idx = np.asarray(indices, dtype=np.uint64)
-    return _mix(_affine(idx, _GOLDEN, seed + _GOLDEN, np.empty(idx.shape, np.uint64)))
-
-
-def uniform_stream(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Uniform doubles in (0, 1]: ((word >> 11) + 1) * 2**-53.
-
-    The +1 keeps zero out of the range so log() in the gaussian transform
-    is always finite.
-    """
-    return _unit(splitmix64(seed, indices))
-
-
-def _polar(seed: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Box-Muller radius sqrt(-2 ln u(2k)) and angle 2*pi*u(2k+1) of gaussian k."""
-    _check_seed(seed)
-    idx = np.asarray(indices, dtype=np.uint64)
-    z = np.empty((2,) + idx.shape, dtype=np.uint64)
-    _affine(idx, 2 * _GOLDEN, seed + _GOLDEN, z[0, ...])
-    return _polar_words(z, np.empty_like(z))
-
-
 def _polar_words(z: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_polar`` from ``z[0] = seed + (2k+1)*G`` per gaussian k, in place.
+    """Box-Muller radius sqrt(-2 ln u(2k)) and angle 2*pi*u(2k+1) of gaussian k.
 
-    Uniform 2k mixes z[0] and uniform 2k+1 mixes z[0] + G; ``t`` is
-    scratch shaped like ``z``. Returns float64 views of ``z``.
+    Works in place from ``z[0] = seed + (2k+1)*G`` per gaussian k: uniform
+    2k mixes z[0] and uniform 2k+1 mixes z[0] + G. ``t`` is scratch shaped
+    like ``z``. Returns float64 views of ``z``.
     """
     np.add(z[0, ...], np.uint64(_GOLDEN), out=z[1, ...])
     u = _unit(_mix(z, t))
@@ -177,7 +150,11 @@ def _polar_words(z: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def gaussian_stream(seed: int, indices: np.ndarray) -> np.ndarray:
     """Standard normals; gaussian k uses uniforms 2k and 2k+1 (Box-Muller)."""
-    radius, angle = _polar(seed, indices)
+    _check_seed(seed)
+    idx = np.asarray(indices, dtype=np.uint64)
+    z = np.empty((2,) + idx.shape, dtype=np.uint64)
+    _affine(idx, 2 * _GOLDEN, seed + _GOLDEN, z[0, ...])
+    radius, angle = _polar_words(z, np.empty_like(z))
     np.cos(angle, out=angle)
     radius *= angle
     return radius
@@ -187,32 +164,8 @@ def gaussian_stream(seed: int, indices: np.ndarray) -> np.ndarray:
 # Scene geometry
 
 
-def _clipped(start: int, stop: int, n: int) -> slice:
-    """[start, stop) cut to [0, n); empty, never wrapped, when outside."""
-    lo = min(max(start, 0), n)
-    return slice(lo, min(max(stop, lo), n))
-
-
-# A region's bounding box cut to the scene, and its pixels inside that box.
-_Window = tuple[tuple[slice, slice], np.ndarray]
-
-
-class _Region:
-    """Rasterization shared by the region shapes: each defines ``_window``."""
-
-    def _window(self, scene_height: int, scene_width: int) -> _Window:
-        raise NotImplementedError
-
-    def mask(self, scene_height: int, scene_width: int) -> np.ndarray:
-        """The region's pixels as a full scene_height x scene_width mask."""
-        m = np.zeros((scene_height, scene_width), dtype=bool)
-        box, inside = self._window(scene_height, scene_width)
-        m[box] = inside
-        return m
-
-
 @dataclass(frozen=True)
-class Rectangle(_Region):
+class Rectangle:
     """Axis-aligned rectangle: rows [row, row+height), cols [col, col+width)."""
 
     row: int
@@ -231,15 +184,15 @@ class Rectangle(_Region):
         ):
             raise DomainError(f"rectangle {self} exceeds the scene bounds")
 
-    def _window(self, scene_height: int, scene_width: int) -> _Window:
-        rows = _clipped(self.row, self.row + self.height, scene_height)
-        cols = _clipped(self.col, self.col + self.width, scene_width)
-        shape = (rows.stop - rows.start, cols.stop - cols.start)
-        return (rows, cols), np.ones(shape, dtype=bool)
+    def _window(self) -> tuple[tuple[slice, slice], np.ndarray]:
+        """The bounding box, and the region's pixels inside it."""
+        rows = slice(self.row, self.row + self.height)
+        cols = slice(self.col, self.col + self.width)
+        return (rows, cols), np.ones((self.height, self.width), dtype=bool)
 
 
 @dataclass(frozen=True)
-class Disk(_Region):
+class Disk:
     """Pixels whose center distance from (row, col) is <= radius."""
 
     row: int
@@ -257,13 +210,13 @@ class Disk(_Region):
         ):
             raise DomainError(f"disk {self} exceeds the scene bounds")
 
-    def _window(self, scene_height: int, scene_width: int) -> _Window:
+    def _window(self) -> tuple[tuple[slice, slice], np.ndarray]:
+        """The bounding box, and the region's pixels inside it."""
         r = self.radius
-        rows = _clipped(self.row - r, self.row + r + 1, scene_height)
-        cols = _clipped(self.col - r, self.col + r + 1, scene_width)
-        dr = np.arange(rows.start, rows.stop)[:, None] - self.row
-        dc = np.arange(cols.start, cols.stop)[None, :] - self.col
-        return (rows, cols), dr * dr + dc * dc <= r * r
+        rows = slice(self.row - r, self.row + r + 1)
+        cols = slice(self.col - r, self.col + r + 1)
+        d = np.arange(-r, r + 1)
+        return (rows, cols), d[:, None] ** 2 + d[None, :] ** 2 <= r * r
 
 
 @dataclass(frozen=True)
@@ -467,10 +420,13 @@ def scene_spec_to_json(spec: SceneSpec) -> str:
 
 
 def paint_labels(spec: SceneSpec) -> ClassificationMap:
-    """Class label of every pixel: background, then regions in spec order."""
+    """Class label of every pixel: background, then regions in spec order.
+
+    ``SceneSpec`` has checked that every region lies inside the scene.
+    """
     labels = np.full((spec.height, spec.width), spec.background_class, dtype=np.int32)
     for placement in spec.placements:
-        box, inside = placement.region._window(spec.height, spec.width)
+        box, inside = placement.region._window()
         labels[box][inside] = placement.class_index
     # Read-only, so ClassificationMap keeps this array instead of a copy.
     labels.setflags(write=False)

@@ -336,7 +336,7 @@ class TestOifRank:
         "bands, message",
         [
             ((np.zeros((0, 3)), np.zeros((0, 3))), "empty"),
-            ((np.arange(4).reshape(2, 2),), "at least 2 bands"),
+            ((np.arange(4).reshape(2, 2),), "OIF ranking needs at least 3 bands, got 1"),
             ((np.arange(4).reshape(2, 2), np.eye(2)), "at least 3 bands"),
             (
                 (np.arange(4).reshape(2, 2), np.ones((2, 2)), np.eye(2)),

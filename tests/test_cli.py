@@ -20,7 +20,6 @@ from gstk import (
     MultibandImage,
     StretchMode,
     convolve,
-    convolve_image,
     read_pgm,
     scene_spec_to_json,
     smoothing_template,
@@ -103,7 +102,7 @@ class TestConvolve:
             ]
         )
         assert code == 0
-        fields = convolve_image(image, smoothing_template(), BoundaryMode.REFLECT)
+        fields = [convolve(b, smoothing_template(), BoundaryMode.REFLECT) for b in image.bands]
         stretched = MultibandImage(
             tuple(stretch(f, StretchMode.ABS_LINEAR, 2.0, 98.0) for f in fields),
         )
@@ -126,7 +125,7 @@ class TestConvolve:
         code = main(["convolve", "--in", str(tmp_path / "in.bsq"),
                      "--out", str(tmp_path / "out.bsq"), "--raw-out", str(raw)])
         assert code == 0
-        fields = convolve_image(image, smoothing_template())
+        fields = [convolve(b, smoothing_template()) for b in image.bands]
         expected = io.BytesIO()
         np.save(expected, np.stack([f.samples for f in fields]))
         assert raw.read_bytes() == expected.getvalue()
@@ -257,7 +256,7 @@ class TestConvolve:
                          "--workers", str(workers)])
             assert code == 0
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-        fields = convolve_image(image, smoothing_template(), BoundaryMode.REFLECT)
+        fields = [convolve(b, smoothing_template(), BoundaryMode.REFLECT) for b in image.bands]
         stack = io.BytesIO()
         np.save(stack, np.stack([f.samples for f in fields]))
         assert outputs[0]["raw.npy"] == stack.getvalue()
@@ -587,6 +586,15 @@ class TestOif:
                      "--out", str(tmp_path / "o.json")])
         assert code == 3
         assert "zero-variance" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_one_band_image_blames_band_count(self, tmp_path, capsys):
+        band = Band(np.arange(16, dtype=np.uint8).reshape(4, 4))
+        (tmp_path / "one.pgm").write_bytes(write_pgm(band))
+        code = main(["oif", "--in", str(tmp_path / "one.pgm"),
+                     "--out", str(tmp_path / "o.json")])
+        assert code == 3
+        assert "OIF ranking needs at least 3 bands, got 1" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
 
     def test_failed_write_part_way_leaves_nothing(self, tmp_path, capsys, monkeypatch):

@@ -20,9 +20,7 @@ from gstk import (
     scene_spec_from_json,
     scene_spec_to_json,
     smoothing_template,
-    splitmix64,
     synth_scene,
-    uniform_stream,
 )
 from conftest import (
     oracle_synth_scene,
@@ -43,52 +41,66 @@ _INSIDE = np.sort(
 )
 
 
+def _uniforms(seed: int, indices: np.ndarray) -> np.ndarray:
+    """The library's uniforms at stream indices: its mixing, then ``_unit``."""
+    idx = np.asarray(indices, dtype=np.uint64)
+    golden = synth._GOLDEN
+    z = synth._affine(idx, golden, seed + golden, np.empty(idx.shape, np.uint64))
+    return synth._unit(synth._mix(z, np.empty_like(z)))
+
+
+def _from_words(w1: int, w2: int) -> float:
+    """Box-Muller of two SplitMix64 words, with numpy's log, sqrt and cos."""
+    u1, u2 = (np.array([((w >> 11) + 1) * 2.0**-53]) for w in (w1, w2))
+    return float((np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2))[0])
+
+
 class TestSplitMix64:
     def test_published_seed_zero_vectors(self):
-        # First three outputs of SplitMix64 seeded with 0.
-        got = [int(v) for v in splitmix64(0, np.arange(3))]
-        assert got == [
-            0xE220A8397B1DCDAF,
-            0x6E789E6AA1B965F4,
-            0x06C45D188009454F,
-        ]
+        # First three outputs of SplitMix64 seeded with 0, and the first
+        # gaussian of seed 0, drawn from the first two.
+        published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert [ref_splitmix64(0, i) for i in range(3)] == published
+        assert float(gaussian_stream(0, np.arange(1))[0]) == _from_words(*published[:2])
 
     def test_matches_pure_python_reference(self, rng):
         for _ in range(10):
             seed = int(rng.integers(0, 2**64, dtype=np.uint64))
             indices = rng.integers(0, 2**40, 50, dtype=np.uint64)
-            got = splitmix64(seed, indices)
-            for idx, value in zip(indices, got):
-                assert int(value) == ref_splitmix64(seed, int(idx))
+            got = gaussian_stream(seed, indices)
+            assert (got == ref_gaussian_numpy(seed, indices)).all()
+            exact = [ref_gaussian(seed, int(i)) for i in indices]
+            assert got.tolist() == pytest.approx(exact, rel=1e-14)
 
     def test_counter_based_random_access(self):
         # Any index is addressable directly; order of access is irrelevant.
-        scattered = splitmix64(42, np.array([9, 3, 7]))
-        sequential = splitmix64(42, np.arange(10))
-        assert int(scattered[0]) == int(sequential[9])
-        assert int(scattered[1]) == int(sequential[3])
-        assert int(scattered[2]) == int(sequential[7])
+        scattered = gaussian_stream(42, np.array([9, 3, 7]))
+        sequential = gaussian_stream(42, np.arange(10))
+        assert scattered.tolist() == sequential[[9, 3, 7]].tolist()
 
     def test_seed_range_validated(self):
         with pytest.raises(DomainError):
-            splitmix64(-1, np.arange(2))
+            gaussian_stream(-1, np.arange(2))
         with pytest.raises(DomainError):
-            splitmix64(2**64, np.arange(2))
+            gaussian_stream(2**64, np.arange(2))
 
     def test_shape_preserved(self):
-        out = splitmix64(1, np.arange(12).reshape(3, 4))
+        out = gaussian_stream(1, np.arange(12).reshape(3, 4))
         assert out.shape == (3, 4)
-        assert out.dtype == np.uint64
+        assert out.dtype == np.float64
 
 
 class TestStreams:
     def test_uniform_in_half_open_unit_interval(self):
-        u = uniform_stream(7, np.arange(10000))
+        u = _uniforms(7, np.arange(10000))
         assert (u > 0).all()
         assert (u <= 1).all()
+        # The extreme words map to the ends of (0, 1].
+        edges = synth._unit(np.array([0, 2**64 - 1], dtype=np.uint64))
+        assert edges.tolist() == [2.0**-53, 1.0]
 
     def test_uniform_matches_reference(self):
-        u = uniform_stream(123, np.arange(20))
+        u = _uniforms(123, np.arange(20))
         for i in range(20):
             assert float(u[i]) == ref_uniform(123, i)
 
@@ -136,7 +148,7 @@ class TestStreams:
             np.arange(k * 10**6, (k + 1) * 10**6, dtype=np.uint64) for k in range(10)
         ]
         for block in blocks:
-            u = block if block is edges else uniform_stream(2026, block)
+            u = block if block is edges else _uniforms(2026, block)
             angle = u * (2.0 * math.pi)
             cos32 = np.cos(angle.astype(np.float32)).astype(np.float64)
             worst = max(worst, float(np.abs(cos32 - np.cos(angle)).max()))
@@ -148,33 +160,46 @@ class TestStreams:
         assert abs(float(g.std()) - 1.0) < 0.01
 
 
+def _painted(height: int, width: int, region) -> np.ndarray:
+    """The pixels ``paint_labels`` gives ``region`` in a height x width scene."""
+    spec = _one_class_spec(
+        width=width,
+        height=height,
+        signatures=(ClassSignature("bg", (1.0,), (0.0,)), ClassSignature("r", (2.0,), (0.0,))),
+        placements=(Placement(2, region),),
+    )
+    return synth.paint_labels(spec).labels == 2
+
+
 class TestGeometry:
     def test_rectangle_mask(self):
-        m = Rectangle(1, 2, 2, 3).mask(4, 6)
+        m = _painted(4, 6, Rectangle(1, 2, 2, 3))
         expected = np.zeros((4, 6), dtype=bool)
         expected[1:3, 2:5] = True
         assert np.array_equal(m, expected)
 
     def test_disk_masks(self):
-        assert Disk(2, 2, 0).mask(5, 5).sum() == 1
-        plus = Disk(2, 2, 1).mask(5, 5)
+        assert _painted(5, 5, Disk(2, 2, 0)).sum() == 1
+        plus = _painted(5, 5, Disk(2, 2, 1))
         assert plus.sum() == 5  # center plus 4 neighbors
         assert plus[2, 2] and plus[1, 2] and plus[2, 1]
         assert not plus[1, 1]
 
     def test_masks_match_full_frame_formula(self):
-        # Regions are rasterized inside their bounding box cut to the scene;
-        # that must equal the formula evaluated over the whole frame, also
-        # for regions reaching past an edge or lying outside.
+        # Regions are painted inside their bounding box; that must equal the
+        # formula evaluated over the whole frame, also for regions that
+        # touch a scene edge. SceneSpec refuses regions reaching past one.
         rows, cols = np.indices((7, 9))
-        for row, col, radius in [(3, 4, 2), (0, 0, 3), (6, 8, 4), (3, 4, 9), (-5, 2, 3)]:
+        for row, col, radius in [(3, 4, 2), (3, 4, 3), (2, 2, 2), (4, 6, 2), (3, 2, 0)]:
             expected = (rows - row) ** 2 + (cols - col) ** 2 <= radius * radius
-            assert np.array_equal(Disk(row, col, radius).mask(7, 9), expected)
-        for row, col, height, width in [(1, 2, 3, 4), (-2, -3, 4, 5), (5, 7, 9, 9), (8, 0, 2, 2)]:
+            assert np.array_equal(_painted(7, 9, Disk(row, col, radius)), expected)
+        for row, col, height, width in [
+            (1, 2, 3, 4), (0, 0, 7, 9), (0, 0, 2, 3), (5, 6, 2, 3), (2, 0, 3, 9)
+        ]:
             expected = (
                 (rows >= row) & (rows < row + height) & (cols >= col) & (cols < col + width)
             )
-            assert np.array_equal(Rectangle(row, col, height, width).mask(7, 9), expected)
+            assert np.array_equal(_painted(7, 9, Rectangle(row, col, height, width)), expected)
 
     def test_rectangle_bounds_validation(self):
         Rectangle(0, 0, 4, 4).validate(4, 4)
@@ -317,11 +342,10 @@ class TestSynthScene:
             ),
         )
         img, truth = synth_scene(spec)
-        rect = Rectangle(2, 3, 5, 7).mask(16, 20)
-        disk = Disk(10, 12, 3).mask(16, 20)
+        rows, cols = np.indices((16, 20))
         expected = np.ones((16, 20), dtype=np.int32)
-        expected[rect] = 2
-        expected[disk] = 3
+        expected[2:7, 3:10] = 2
+        expected[(rows - 10) ** 2 + (cols - 12) ** 2 <= 9] = 3
         assert np.array_equal(truth.labels, expected)
         assert (img.bands[0].samples[truth.labels == 2] == 100).all()
         assert (img.bands[0].samples[truth.labels == 3] == 200).all()
