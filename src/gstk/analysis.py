@@ -215,11 +215,6 @@ class OifScore:
     score: float
 
 
-def _require_triples(n_bands: int) -> None:
-    if n_bands < 3:
-        raise DomainError(f"OIF ranking needs at least 3 bands, got {n_bands}")
-
-
 def _rank_triples(
     image: MultibandImage, corr: CorrelationMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -270,9 +265,9 @@ def oif_rank(image: MultibandImage) -> list[OifScore]:
     Ties are broken by lexicographic triple order. Zero-variance bands
     make the index undefined and are reported by name.
     """
-    _require_triples(image.n_bands)
-    triples, scores = _rank_triples(image, correlation(image))
-    return [OifScore(tuple(t), s) for t, s in zip(triples.tolist(), scores.tolist())]
+    report = oif_report(image)
+    pairs = zip(report.triples.tolist(), report.scores.tolist())
+    return [OifScore(tuple(t), s) for t, s in pairs]
 
 
 # One ranking entry exactly as ``json.dumps(report, indent=2)`` lays it
@@ -385,7 +380,8 @@ class OifReport:
 
 def oif_report(image: MultibandImage) -> OifReport:
     """Rank every band triple of ``image`` and keep what the ranking used."""
-    _require_triples(image.n_bands)
+    if image.n_bands < 3:
+        raise DomainError(f"OIF ranking needs at least 3 bands, got {image.n_bands}")
     corr = correlation(image)
     triples, scores = _rank_triples(image, corr)
     bands = tuple(image.name_of(i) for i in range(image.n_bands))

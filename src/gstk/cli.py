@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Every subcommand is a thin shell over the library: it loads inputs,
-calls the same functions a caller would, and serializes the results.
+calls the same functions a caller would, stages its output files and
+returns its report. ``main`` is the one commit point: it hands each
+subcommand a fresh ``_Stage``, commits it, and prints the report once
+every output is in place.
 Each output file is serialized straight into a temporary sibling, with
 no in-memory copy of its bytes. ``convolve`` maps its BSQ input
 read-only, so every band is a view of the file's pages, runs its band
@@ -13,14 +16,17 @@ task renders its band of the scene, then convolves and stretches it into
 its feature band, and band 1's task also compares the chosen response
 with the Laplacian's. The tasks run on threads only when the bands are
 large enough to gain (see ``_THREADED_BAND_PIXELS``); every artifact has
-the same bytes either way. Every subcommand but ``convolve`` computes its
-outputs first. Only when every temporary is written are they renamed
-into place one by one; any failure before then removes every temporary
-and touches no target. Each file is therefore replaced atomically and no
-temporary file is left behind, but the set of files is not replaced
-atomically: if a later rename fails, the files already renamed stay
-replaced. Truncating a mapped input while gstk runs is outside that
-guarantee: the process may die by SIGBUS and leave its temporaries behind.
+the same bytes either way. ``synth`` and ``classify`` stage their
+outputs before any work, so an output that would be refused is refused
+first, and their writers read the results at commit. The other
+subcommands compute their outputs first. Only when every temporary is
+written are they renamed into place one by one; any failure before then
+removes every temporary and touches no target. Each file is therefore
+replaced atomically and no temporary file is left behind, but the set of
+files is not replaced atomically: if a later rename fails, the files
+already renamed stay replaced. Truncating a mapped input while gstk runs
+is outside that guarantee: the process may die by SIGBUS and leave its
+temporaries behind.
 
 The ``analysis`` and ``synth`` modules are imported only by the
 subcommands that use them, so ``convolve`` does not load them.
@@ -230,6 +236,18 @@ class _Stage:
 # Image and field I/O helpers
 
 
+def _load_pgm(path: str, image: MultibandImage | None = None, what: str = "") -> Band:
+    """A PGM file's band; given ``image``, a ``what`` raster of its size."""
+    with open(path, "rb") as f:
+        band = read_pgm(f.read())
+    if image is not None and (band.width, band.height) != (image.width, image.height):
+        raise DomainError(
+            f"{path}: {what} raster is {band.width}x{band.height}, "
+            f"the image is {image.width}x{image.height}"
+        )
+    return band
+
+
 def _load_image(path: str) -> MultibandImage:
     """PGM for single-band input, BSQ header/payload pair otherwise.
 
@@ -238,8 +256,7 @@ def _load_image(path: str) -> MultibandImage:
     ``b""``.
     """
     if path.endswith(".pgm"):
-        with open(path, "rb") as f:
-            return MultibandImage((read_pgm(f.read()),))
+        return MultibandImage((_load_pgm(path),))
     header_path, payload_path = bsq_paths(path)
     header = _read_text(header_path, "ascii")
     with open(payload_path, "rb") as f:
@@ -279,10 +296,15 @@ def _band_payload(
     return payload_path, _bsq_samples
 
 
-def _stage_labels(stage: _Stage, path: str, cmap: analysis.ClassificationMap) -> None:
+def _stage_labels(
+    stage: _Stage, path: str, cmap: Callable[[], analysis.ClassificationMap]
+) -> None:
+    """Stage a label map as PGM, taken from ``cmap()`` when the stage commits."""
     from . import analysis
 
-    stage.add_bytes(path, write_pgm(analysis.classification_to_band(cmap)))
+    stage.add_writer(
+        path, write=lambda f: f.write(write_pgm(analysis.classification_to_band(cmap())))
+    )
 
 
 def _write_stack_header(f: BinaryIO, shape: tuple[int, int, int]) -> None:
@@ -359,26 +381,20 @@ def _load_rois(path: str, image: MultibandImage) -> list[analysis.Roi]:
     if path.endswith(".json"):
         text = _read_text(path, "utf-8")
         return analysis.rois_from_json(text, (image.height, image.width))
-    with open(path, "rb") as f:
-        band = read_pgm(f.read())
-    if (band.width, band.height) != (image.width, image.height):
-        raise DomainError(
-            f"{path}: ROI raster is {band.width}x{band.height}, "
-            f"the image is {image.width}x{image.height}"
-        )
-    return analysis.rois_from_labels(band.samples)
+    return analysis.rois_from_labels(_load_pgm(path, image, "ROI").samples)
 
 
-def _load_truth(path: str, n_classes: int) -> analysis.ClassificationMap:
-    """A truth label raster whose labels are 0..``n_classes``."""
+def _load_truth(
+    path: str, image: MultibandImage, n_classes: int
+) -> analysis.ClassificationMap:
+    """A truth label raster the size of ``image`` whose labels are 0..``n_classes``."""
     from . import analysis
 
-    with open(path, "rb") as f:
-        band = read_pgm(f.read())
-    top = int(band.samples.max())
+    labels = _load_pgm(path, image, "truth").samples
+    top = int(labels.max())
     if top > n_classes:
         raise DomainError(f"{path}: truth label {top} exceeds the {n_classes} classes")
-    return analysis.ClassificationMap(band.samples)
+    return analysis.ClassificationMap(labels)
 
 
 def _json_text(doc: dict) -> str:
@@ -396,16 +412,12 @@ def _top_triple_line(report: analysis.OifReport) -> str:
 # Subcommands
 
 
-def cmd_derive(args: argparse.Namespace) -> int:
-    kernel = _kernel_from_choice(args.kernel)
-    stage = _Stage()
-    stage.add_text(args.out, format_kernel(kernel))
-    stage.commit()
-    print(f"wrote {args.kernel} kernel to {args.out}")
-    return EXIT_OK
+def cmd_derive(args: argparse.Namespace, stage: _Stage) -> str:
+    stage.add_text(args.out, format_kernel(_kernel_from_choice(args.kernel)))
+    return f"wrote {args.kernel} kernel to {args.out}"
 
 
-def cmd_convolve(args: argparse.Namespace) -> int:
+def cmd_convolve(args: argparse.Namespace, stage: _Stage) -> str:
     image = _load_image(getattr(args, "in"))
     kernel = _kernel_from_choice(args.kernel)
     boundary = BoundaryMode(args.boundary)
@@ -421,41 +433,35 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     threads = min(args.workers, n_bands, os.cpu_count() or 1)
     results = _in_order(task, image.bands, threads)
     shape = (n_bands, image.height, image.width)
-    stage = _Stage()
     edges_path, encode = _band_payload(stage, args.out, shape, "u8")
 
     # One writer for both files, so each band is written, its field (with
     # --raw-out) and then its stretched band, as soon as it finishes.
+    # Closing ``results`` stops the band threads if a band or write fails.
     def write(edges: BinaryIO, stack: BinaryIO | None = None) -> None:
-        if stack is not None:
-            _write_stack_header(stack, shape)
-        for edge, field in results:
+        with contextlib.closing(results):
             if stack is not None:
-                stack.write(field.samples)
-            edges.write(encode(edge))
-            del edge, field  # not held while the next band is awaited
+                _write_stack_header(stack, shape)
+            for edge, field in results:
+                if stack is not None:
+                    stack.write(field.samples)
+                edges.write(encode(edge))
+                del edge, field  # not held while the next band is awaited
 
     raw_paths = [args.raw_out] if args.raw_out else []
     stage.add_writer(edges_path, *raw_paths, write=write)
-    with contextlib.closing(results):
-        stage.commit()
-    print(f"convolved {n_bands} band(s) with {args.kernel} ({args.boundary})")
-    return EXIT_OK
+    return f"convolved {n_bands} band(s) with {args.kernel} ({args.boundary})"
 
 
-def cmd_oif(args: argparse.Namespace) -> int:
+def cmd_oif(args: argparse.Namespace, stage: _Stage) -> str:
     from . import analysis
 
-    image = _load_image(getattr(args, "in"))
-    report = analysis.oif_report(image)
-    stage = _Stage()
+    report = analysis.oif_report(_load_image(getattr(args, "in")))
     _stage_oif(stage, args.out, report)
-    stage.commit()
-    print(_top_triple_line(report))
-    return EXIT_OK
+    return _top_triple_line(report)
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace, stage: _Stage) -> str:
     from . import analysis
 
     if args.out_confusion and not args.truth:
@@ -463,11 +469,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     # Both outputs are staged before the image is loaded, so two that
     # resolve to one file are refused first; their writers read ``cmap``
     # and ``confusion`` when the stage commits.
-    stage = _Stage()
-    stage.add_writer(
-        args.out_map,
-        write=lambda f: f.write(write_pgm(analysis.classification_to_band(cmap))),
-    )
+    _stage_labels(stage, args.out_map, lambda: cmap)
     if args.out_confusion:
         stage.add_writer(
             args.out_confusion,
@@ -475,6 +477,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         )
     image = _load_image(getattr(args, "in"))
     rois = _load_rois(args.rois, image)
+    truth = _load_truth(args.truth, image, len(rois)) if args.truth else None
     features = analysis.features_for_classification(
         image,
         analysis.FeatureKind(args.features),
@@ -484,52 +487,47 @@ def cmd_classify(args: argparse.Namespace) -> int:
     specs = analysis.fit_classes(features, rois, analysis.FitMode(args.mode), args.k)
     cmap = analysis.classify(features, specs)
     lines = [f"classified {cmap.width * cmap.height} pixels into {len(specs)} classes"]
-    if args.truth:
-        truth = _load_truth(args.truth, len(rois))
+    if truth is not None:
         confusion = analysis.accuracy(cmap, truth, [r.name for r in rois])
         lines.append(f"overall accuracy: {confusion.overall_accuracy:.6f}")
-    stage.commit()
-    for line in lines:
-        print(line)
-    return EXIT_OK
+    return "\n".join(lines)
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace, stage: _Stage) -> str:
     from . import analysis
 
     field_a = _load_field(args.a)
     field_b = _load_field(args.b)
     report = analysis.compare_responses(field_a, field_b, args.threshold)
-    stage = _Stage()
     stage.add_text(args.out, _json_text(report.to_dict()))
-    stage.commit()
     corr = report.magnitude_correlation
     corr_text = "undefined" if corr is None else f"{corr:.6f}"
-    print(f"magnitude correlation: {corr_text}")
-    print(f"sign agreement: {report.sign_agreement:.6f}")
-    print(
+    return (
+        f"magnitude correlation: {corr_text}\n"
+        f"sign agreement: {report.sign_agreement:.6f}\n"
         f"edge density: a {report.a.edge_density:.6f}, b {report.b.edge_density:.6f}"
     )
-    return EXIT_OK
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace, stage: _Stage) -> str:
     from . import synth
 
     spec = synth.scene_spec_from_json(_read_text(args.spec, "utf-8"))
+    # Staged from the spec, so a refused output is refused before rendering.
+    shape = (spec.n_bands, spec.height, spec.width)
+    payload_path, encode = _band_payload(stage, args.out_image, shape, spec.dtype)
+    stage.add_writer(
+        payload_path, write=lambda f: f.writelines(map(encode, image.bands))
+    )
+    _stage_labels(stage, args.out_truth, lambda: truth)
     image, truth = synth.synth_scene(spec)
-    stage = _Stage()
-    _stage_image(stage, args.out_image, image)
-    _stage_labels(stage, args.out_truth, truth)
-    stage.commit()
-    print(
+    return (
         f"scene {spec.width}x{spec.height} {spec.dtype}: "
         f"{spec.n_bands} band(s), {spec.n_classes} class(es)"
     )
-    return EXIT_OK
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
+def cmd_pipeline(args: argparse.Namespace, stage: _Stage) -> str:
     from . import analysis, synth
 
     spec = synth.scene_spec_from_json(_read_text(args.spec, "utf-8"))
@@ -589,21 +587,17 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    stage = _Stage()
     _stage_image(stage, os.path.join(out, "scene.bsq"), image)
-    _stage_labels(stage, os.path.join(out, "truth.pgm"), truth)
+    _stage_labels(stage, os.path.join(out, "truth.pgm"), lambda: truth)
     _stage_image(stage, os.path.join(out, "features.bsq"), features)
-    _stage_labels(stage, os.path.join(out, "map.pgm"), cmap)
+    _stage_labels(stage, os.path.join(out, "map.pgm"), lambda: cmap)
     stage.add_text(os.path.join(out, "confusion.json"), _json_text(confusion.to_dict()))
     stage.add_text(os.path.join(out, "compare.json"), _json_text(compare.to_dict()))
+    lines = [f"overall accuracy: {confusion.overall_accuracy:.6f}"]
     if oif_report is not None:
         _stage_oif(stage, os.path.join(out, "oif.json"), oif_report)
-    stage.commit()
-
-    if oif_report is not None:
-        print(_top_triple_line(oif_report))
-    print(f"overall accuracy: {confusion.overall_accuracy:.6f}")
-    return EXIT_OK
+        lines.insert(0, _top_triple_line(oif_report))
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +737,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        stage = _Stage()
+        report = args.func(args, stage)
+        stage.commit()
+        print(report)
+        return EXIT_OK
     except FileFormatError as exc:
         print(f"gstk: file format error: {exc}", file=sys.stderr)
         return EXIT_IO

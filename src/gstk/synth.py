@@ -318,10 +318,7 @@ def scene_spec_from_json(text: str) -> SceneSpec:
                 return default
             raise FileFormatError(f"scene spec is missing {key!r}")
         value = doc[key]
-        if kind is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise FileFormatError(f"scene spec {key!r} must be a number")
-        elif not isinstance(value, kind) or isinstance(value, bool):
+        if not isinstance(value, kind) or isinstance(value, bool):
             raise FileFormatError(f"scene spec {key!r} has the wrong type")
         return value
 

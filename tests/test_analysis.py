@@ -866,6 +866,35 @@ class TestAccuracy:
         largest = ClassificationMap(np.array([[2**31 - 1]], dtype=dtype))
         assert largest.labels[0, 0] == 2**31 - 1
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [(np.ones(3, dtype=np.int32), "2-D"),
+         (np.ones((2, 2, 1), dtype=np.int32), "2-D"),
+         (np.ones((2, 2)), "integers"),
+         (np.ones((2, 2), dtype=bool), "integers")],
+        ids=["1-d", "3-d", "float", "bool"],
+    )
+    def test_labels_must_be_2d_integers(self, labels, message):
+        with pytest.raises(DomainError, match=message):
+            ClassificationMap(labels)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [(np.ones((2, 3)), "square"),
+         (np.ones(4), "square"),
+         ([[1, -1], [0, 1]], "non-negative")],
+        ids=["2x3", "1-d", "negative"],
+    )
+    def test_bad_confusion_counts_rejected(self, counts, message):
+        with pytest.raises(DomainError, match=message):
+            analysis.ConfusionMatrix(counts)
+
+    def test_to_dict_without_names(self):
+        cm = analysis.ConfusionMatrix(np.array([[0, 0, 0], [0, 2, 1], [1, 0, 3]]))
+        assert cm.to_dict()["classes"] == ["unclassified", "class 1", "class 2"]
+        named = analysis.ConfusionMatrix(cm.counts, ("sea",))
+        assert named.to_dict()["classes"] == ["unclassified", "sea", "class 2"]
+
     @pytest.mark.parametrize("side", [0, 2])
     def test_confusion_without_counts_rejected(self, side):
         with pytest.raises(DomainError, match="all zero"):

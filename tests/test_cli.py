@@ -609,6 +609,10 @@ class TestOif:
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+def _no_features(*args):
+    raise AssertionError("features were computed")
+
+
 class TestClassify:
     def test_with_label_raster_rois(self, tmp_path, capsys):
         image, truth = _write_scene(tmp_path, separable_scene_spec())
@@ -680,9 +684,11 @@ class TestClassify:
 
     @pytest.mark.parametrize("label", [3, 65535])
     def test_truth_label_above_class_count_is_domain_error(
-        self, tmp_path, capsys, label
+        self, tmp_path, capsys, monkeypatch, label
     ):
-        # Refused before the (label + 1)^2 confusion counts are allocated.
+        # Refused before the (label + 1)^2 confusion counts are allocated,
+        # and before any feature is computed.
+        monkeypatch.setattr(analysis, "features_for_classification", _no_features)
         image = tmp_path / "img.pgm"
         image.write_bytes(write_pgm(Band(np.arange(64, dtype=np.uint8).reshape(8, 8))))
         rois = np.zeros((8, 8), dtype=np.uint16)
@@ -701,6 +707,22 @@ class TestClassify:
         assert f"truth label {label} exceeds the 2 classes" in capsys.readouterr().err
         assert not (tmp_path / "map.pgm").exists()
         assert not (tmp_path / "c.json").exists()
+
+    def test_truth_raster_of_another_size_refused_before_features(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(analysis, "features_for_classification", _no_features)
+        image = tmp_path / "img.pgm"
+        image.write_bytes(write_pgm(Band(np.arange(64, dtype=np.uint8).reshape(8, 8))))
+        (tmp_path / "truth.pgm").write_bytes(write_pgm(Band(np.ones((4, 4), np.uint8))))
+        code = main(["classify", "--in", str(image), "--rois", str(image),
+                     "--truth", str(tmp_path / "truth.pgm"),
+                     "--out-map", str(tmp_path / "map.pgm"),
+                     "--out-confusion", str(tmp_path / "c.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'truth.pgm'}: truth raster is 4x4, the image is 8x8" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["img.pgm", "truth.pgm"]
 
     def test_confusion_requires_truth(self, tmp_path, monkeypatch):
         # Refused before the image is even loaded.
@@ -796,6 +818,22 @@ class TestCompare:
         doc = json.loads(out.read_text())
         assert doc["cross"]["sign_agreement"] == 1.0
 
+    @pytest.mark.parametrize("version", [(2, 0), (3, 0)], ids=["v2", "v3"])
+    def test_accepts_later_npy_versions(self, tmp_path, rng, capsys, version):
+        a = self._save_fields(tmp_path, rng)
+        with open(tmp_path / "later.npy", "wb") as f:
+            np.lib.format.write_array(f, a, version=version)
+        assert (tmp_path / "later.npy").read_bytes()[6:8] == bytes(version)
+        outputs = []
+        for name in ("b.npy", "later.npy"):
+            code = main(["compare", "--a", str(tmp_path / "a.npy"),
+                         "--b", str(tmp_path / name),
+                         "--threshold", "8", "--out", str(tmp_path / "cmp.json")])
+            assert code == 0
+            outputs.append(((tmp_path / "cmp.json").read_bytes(), capsys.readouterr()))
+        assert outputs[1] == outputs[0]
+        assert "sign agreement: 1.000000" in outputs[0][1].out
+
     def test_rejects_multiband_stack(self, tmp_path):
         np.save(tmp_path / "a.npy", np.zeros((3, 4, 4), dtype=np.int32))
         np.save(tmp_path / "b.npy", np.zeros((4, 4), dtype=np.int32))
@@ -852,6 +890,32 @@ class TestSynth:
               "--out-truth", str(tmp_path / "t.pgm")])
         img = read_pgm((tmp_path / "img.pgm").read_bytes())
         assert set(np.unique(img.samples)) == {20, 220}
+
+    @pytest.mark.parametrize(
+        "bands, image, message",
+        [(1, "x.pgm", "two outputs would be written to"),
+         (3, "i.pgm", "cannot write 3 bands to a PGM file")],
+        ids=["one-path", "bands-to-pgm"],
+    )
+    def test_refused_outputs_before_rendering(
+        self, tmp_path, capsys, monkeypatch, bands, image, message
+    ):
+        doc = {
+            "width": 8, "height": 8, "dtype": "u8", "seed": 4,
+            "classes": [{"name": "bg", "means": [9] * bands, "sigmas": [1] * bands}],
+        }
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+
+        def render(spec):
+            raise AssertionError("the scene was rendered")
+
+        monkeypatch.setattr("gstk.synth.synth_scene", render)
+        code = main(["synth", "--spec", str(tmp_path / "spec.json"),
+                     "--out-image", str(tmp_path / image),
+                     "--out-truth", str(tmp_path / "x.pgm")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
     def test_malformed_spec_is_io_error(self, tmp_path):
         (tmp_path / "spec.json").write_text("{broken")
@@ -1292,6 +1356,7 @@ class TestMalformedInputs:
             ("h.npy", _int32_npy((1 << 20, 1 << 20), 64), _COMPARE_F),
             ("t.npy", _int32_npy((4, 4), 60), _COMPARE_F),
             ("l.npy", _int32_npy((4, 4), 68), _COMPARE_F),
+            ("v.npy", b"\x93NUMPY\x04\x00" + _int32_npy((4, 4), 64)[8:], _COMPARE_F),
             ("s.hdr", b"magic=GSTK1\nwidth=4\xe9\n",
              ["convolve", "--in", "{f}", "--out", "{d}/o.pgm"]),
             ("k.txt", b"0 1 0\n1 \xff 1\n0 1 0\n",
@@ -1304,7 +1369,7 @@ class TestMalformedInputs:
             ("r.json", b'{"classes": "\xc3"}',
              ["classify", "--in", "{in}", "--rois", "{f}", "--out-map", "{d}/m.pgm"]),
         ],
-        ids=["npz", "empty-npy", "huge-npy", "truncated-npy", "trailing-npy",
+        ids=["npz", "empty-npy", "huge-npy", "truncated-npy", "trailing-npy", "v4-npy",
              "bsq-header", "kernel", "synth-spec", "pipeline-spec", "roi-json"],
     )
     def test_is_file_format_error(self, tmp_path, capsys, name, data, argv):

@@ -155,6 +155,8 @@ class TestMoments:
         # rotation by 90 degrees changes this grid
         k = Kernel(((0, 1, 0), (0, 1, 0), (0, 1, 0)), anchor=(1, 1))
         assert not k.is_d4_symmetric()
+        # not square
+        assert not Kernel(((1, 1, 1),), anchor=(0, 1)).is_d4_symmetric()
 
 
 class TestKernelType:
@@ -248,6 +250,8 @@ class TestTextFormat:
             parse_kernel("anchor 5 0\n1 2 3\n")  # out of bounds
         with pytest.raises(FileFormatError, match="anchor"):
             parse_kernel("anchor 0\n1 2 3\n")
+        with pytest.raises(FileFormatError, match="anchor indices must be integers"):
+            parse_kernel("anchor 0 one\n1 2 3\n")
 
     def test_parse_side_budget_is_domain_error(self):
         assert parse_kernel("1 " * 255).cols == 255

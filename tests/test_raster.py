@@ -172,6 +172,8 @@ class TestPgm:
             read_pgm(b"P5\n1 1\n0\n\x00")
         with pytest.raises(FileFormatError, match="maxval"):
             read_pgm(b"P5\n1 1\n70000\n\x00\x00")
+        with pytest.raises(FileFormatError, match="whitespace after PGM maxval"):
+            read_pgm(b"P5\n1 1\n255# comment\n\x00")
 
     def test_truncated_header(self):
         with pytest.raises(FileFormatError):
@@ -333,6 +335,11 @@ class TestBsq:
     def test_non_integer_dimension(self):
         with pytest.raises(FileFormatError, match="integer"):
             read_bsq(self._header(width="two"), b"\x00\x00")
+
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_negative_dimension(self, key):
+        with pytest.raises(FileFormatError, match="non-negative"):
+            read_bsq(self._header(**{key: -2}), b"")
 
     def test_band_count_range(self):
         with pytest.raises(FileFormatError, match="band count"):
@@ -590,6 +597,11 @@ class TestStretch:
         for lo, hi in ((-1.0, 98.0), (2.0, 101.0), (50.0, 50.0), (90.0, 10.0)):
             with pytest.raises(DomainError):
                 stretch(f, StretchMode.ABS_LINEAR, lo, hi)
+
+    def test_unknown_mode(self):
+        f = ResponseField(np.zeros((2, 2), dtype=np.int32))
+        with pytest.raises(DomainError, match="unknown stretch mode 'nearest'"):
+            stretch(f, "nearest")
 
     def test_output_shape_and_dtype(self, rng):
         values = rng.integers(-500, 500, (7, 9)).astype(np.int32)

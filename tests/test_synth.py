@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -263,6 +264,12 @@ class TestSceneSpecValidation:
     def test_rejects_no_classes(self):
         with pytest.raises(DomainError):
             _one_class_spec(signatures=())
+
+    @pytest.mark.parametrize("n_bands", [0, 256])
+    def test_rejects_band_count_out_of_range(self, n_bands):
+        sig = ClassSignature("x", (1.0,) * n_bands, (0.0,) * n_bands)
+        with pytest.raises(DomainError, match=f"1..255 bands, got {n_bands}"):
+            _one_class_spec(signatures=(sig,))
 
     def test_rejects_mean_outside_dtype(self):
         with pytest.raises(DomainError, match="mean"):
@@ -661,6 +668,31 @@ class TestSceneSpecJson:
                 ' "classes": [{"name": "x", "means": [1], "sigmas": [0]}],'
                 ' "background_class": true}'
             )
+
+    @pytest.mark.parametrize(
+        "classes, regions, message",
+        [
+            ([5], [], "each class must be an object"),
+            ([{"name": "x", "means": [1]}], [], "class entry is missing 'sigmas'"),
+            ([{"means": [1], "sigmas": [0]}], [], "class entry is missing 'name'"),
+            ([{"name": "x", "means": 1, "sigmas": [0]}], [], "must be arrays"),
+            ([{"name": "x", "means": [1], "sigmas": {}}], [], "must be arrays"),
+            ([{"name": "x", "means": ["1"], "sigmas": [0]}], [], "must be numbers"),
+            ([{"name": "x", "means": [1], "sigmas": [False]}], [], "must be numbers"),
+            (None, [3], "each region needs 'shape' and 'class'"),
+            (None, [{"class": 1, "row": 0}], "each region needs 'shape' and 'class'"),
+            (None, [{"shape": "rect", "row": 0}], "each region needs 'shape' and 'class'"),
+        ],
+        ids=["class-not-object", "no-sigmas", "no-name", "means-not-list",
+             "sigmas-not-list", "mean-not-number", "sigma-bool", "region-not-object",
+             "region-no-shape", "region-no-class"],
+    )
+    def test_malformed_class_or_region(self, classes, regions, message):
+        doc = {"width": 4, "height": 4, "dtype": "u8", "seed": 0,
+               "classes": classes or [{"name": "x", "means": [1], "sigmas": [0]}],
+               "regions": regions}
+        with pytest.raises(FileFormatError, match=message):
+            scene_spec_from_json(json.dumps(doc))
 
     def test_semantic_errors_are_domain_errors(self):
         with pytest.raises(DomainError):
