@@ -19,7 +19,9 @@ large enough to gain (see ``_THREADED_BAND_PIXELS``); every artifact has
 the same bytes either way. ``synth`` and ``classify`` stage their
 outputs before any work, so an output that would be refused is refused
 first, and their writers read the results at commit. The other
-subcommands compute their outputs first. Only when every temporary is
+subcommands compute their outputs first, though ``pipeline`` creates
+``--out-dir`` before it renders any band, so a run that fails later may
+leave that directory empty. Only when every temporary is
 written are they renamed into place one by one; any failure before then
 removes every temporary and touches no target. Each file is therefore
 replaced atomically and no temporary file is left behind, but the set of
@@ -549,6 +551,9 @@ def cmd_pipeline(args: argparse.Namespace, stage: _Stage) -> str:
     ]
     if untrained:
         raise DomainError("; ".join(untrained))
+    # Made before any band is rendered, so a file in its way is refused first.
+    out = args.out_dir
+    os.makedirs(out, exist_ok=True)
 
     render = synth._band_renderer(spec, truth)
 
@@ -585,8 +590,6 @@ def cmd_pipeline(args: argparse.Namespace, stage: _Stage) -> str:
     if image.n_bands >= 3:
         oif_report = analysis.oif_report(image)
 
-    out = args.out_dir
-    os.makedirs(out, exist_ok=True)
     _stage_image(stage, os.path.join(out, "scene.bsq"), image)
     _stage_labels(stage, os.path.join(out, "truth.pgm"), lambda: truth)
     _stage_image(stage, os.path.join(out, "features.bsq"), features)

@@ -68,11 +68,9 @@ class Kernel:
         """
         grid = tuple(tuple(int(c) for c in row) for row in rows)
         if anchor is None:
-            if not grid or len(grid) % 2 == 0 or len(grid[0]) % 2 == 0:
-                raise DomainError(
-                    "even-dimensioned kernels need an explicit anchor"
-                )
-            anchor = (len(grid) // 2, len(grid[0]) // 2)
+            anchor = _center(len(grid), len(grid[0]) if grid else 0)
+            if anchor is None:
+                raise DomainError("even-dimensioned kernels need an explicit anchor")
         return cls(grid, anchor)
 
     @property
@@ -108,9 +106,7 @@ class Kernel:
 
     def is_d4_symmetric(self) -> bool:
         """True if invariant under all 8 square symmetries about the anchor."""
-        if self.rows != self.cols or self.rows % 2 == 0:
-            return False
-        if self.anchor != (self.rows // 2, self.cols // 2):
+        if self.rows != self.cols or self.anchor != _center(self.rows, self.cols):
             return False
         a = self.to_array()
         # Transpose plus one mirror generate the full dihedral group.
@@ -204,6 +200,11 @@ def laplacian_template() -> Kernel:
     )
 
 
+def _center(rows: int, cols: int) -> tuple[int, int] | None:
+    """The center cell of an odd-sided grid; None if either side is even."""
+    return (rows // 2, cols // 2) if rows % 2 and cols % 2 else None
+
+
 def _check_side(rows: int, cols: int) -> None:
     if rows > MAX_KERNEL_SIDE or cols > MAX_KERNEL_SIDE:
         raise DomainError(f"kernel has more than {MAX_KERNEL_SIDE} rows or columns")
@@ -252,7 +253,7 @@ def parse_kernel(text: str) -> Kernel:
         rows.append(row)
     if not rows:
         raise FileFormatError("kernel text contains no coefficient rows")
-    if anchor is None and (len(rows) % 2 == 0 or len(rows[0]) % 2 == 0):
+    if anchor is None and _center(len(rows), len(rows[0])) is None:
         raise FileFormatError(
             "even-dimensioned kernel requires an explicit 'anchor R C' header"
         )
@@ -271,12 +272,7 @@ def format_kernel(kernel: Kernel) -> str:
     parse(format(k)) == k and format(parse(s)) == s for canonical s.
     """
     lines = []
-    centered = (
-        kernel.rows % 2 == 1
-        and kernel.cols % 2 == 1
-        and kernel.anchor == (kernel.rows // 2, kernel.cols // 2)
-    )
-    if not centered:
+    if kernel.anchor != _center(kernel.rows, kernel.cols):
         lines.append(f"anchor {kernel.anchor[0]} {kernel.anchor[1]}")
     for row in kernel.coeffs:
         lines.append(" ".join(str(c) for c in row))

@@ -298,14 +298,8 @@ def read_bsq(header_text: str, payload: bytes) -> MultibandImage:
 
 def _bsq_header(width: int, height: int, bands: int, dtype: str) -> str:
     """The header text of a ``bands`` x ``height`` x ``width`` BSQ image."""
-    return (
-        f"magic={_BSQ_MAGIC}\n"
-        f"width={width}\n"
-        f"height={height}\n"
-        f"bands={bands}\n"
-        f"dtype={dtype}\n"
-        f"byteorder=le\n"
-    )
+    values = (_BSQ_MAGIC, width, height, bands, dtype, "le")
+    return "".join(f"{key}={value}\n" for key, value in zip(_BSQ_KEYS, values))
 
 
 def _bsq_samples(band: Band) -> np.ndarray:

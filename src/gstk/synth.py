@@ -30,7 +30,7 @@ import json
 import math
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -219,6 +219,11 @@ class Disk:
         return (rows, cols), d[:, None] ** 2 + d[None, :] ** 2 <= r * r
 
 
+# Region shapes by their spec name. Each shape's JSON keys are its
+# dataclass fields, in order; the spec reader and writer both use them.
+_SHAPES = {"rect": Rectangle, "disk": Disk}
+
+
 @dataclass(frozen=True)
 class Placement:
     """One painted region and the 1-based class it is filled with."""
@@ -352,14 +357,10 @@ def scene_spec_from_json(text: str) -> SceneSpec:
                 raise FileFormatError(f"region is missing integer {key!r}")
             return entry[key]
 
-        if shape == "rect":
-            region: Rectangle | Disk = Rectangle(
-                geom("row"), geom("col"), geom("height"), geom("width")
-            )
-        elif shape == "disk":
-            region = Disk(geom("row"), geom("col"), geom("radius"))
-        else:
+        kind = _SHAPES.get(shape) if isinstance(shape, str) else None
+        if kind is None:
             raise FileFormatError(f"unknown region shape {shape!r}")
+        region = kind(*(geom(f.name) for f in fields(kind)))
         placements.append(Placement(geom("class"), region))
 
     return SceneSpec(
@@ -374,39 +375,21 @@ def scene_spec_from_json(text: str) -> SceneSpec:
 
 
 def scene_spec_to_json(spec: SceneSpec) -> str:
-    regions = []
-    for p in spec.placements:
-        if isinstance(p.region, Rectangle):
-            regions.append(
-                {
-                    "shape": "rect",
-                    "class": p.class_index,
-                    "row": p.region.row,
-                    "col": p.region.col,
-                    "height": p.region.height,
-                    "width": p.region.width,
-                }
-            )
-        else:
-            regions.append(
-                {
-                    "shape": "disk",
-                    "class": p.class_index,
-                    "row": p.region.row,
-                    "col": p.region.col,
-                    "radius": p.region.radius,
-                }
-            )
+    regions = [
+        {
+            "shape": next(n for n, k in _SHAPES.items() if isinstance(p.region, k)),
+            "class": p.class_index,
+            **asdict(p.region),
+        }
+        for p in spec.placements
+    ]
     doc = {
         "width": spec.width,
         "height": spec.height,
         "dtype": spec.dtype,
         "seed": spec.seed,
         "background_class": spec.background_class,
-        "classes": [
-            {"name": s.name, "means": list(s.means), "sigmas": list(s.sigmas)}
-            for s in spec.signatures
-        ],
+        "classes": [asdict(s) for s in spec.signatures],
         "regions": regions,
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -1161,6 +1161,23 @@ class TestPipeline:
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
+    def test_out_dir_that_is_a_file_refused_before_rendering(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import gstk.synth as synth
+
+        def renderer(spec, truth):
+            raise AssertionError("a band renderer was built")
+
+        monkeypatch.setattr(synth, "_band_renderer", renderer)
+        (tmp_path / "spec.json").write_text(scene_spec_to_json(separable_scene_spec()))
+        (tmp_path / "afile").write_bytes(b"")
+        code = main(["pipeline", "--spec", str(tmp_path / "spec.json"),
+                     "--out-dir", str(tmp_path / "afile")])
+        assert code == 2
+        assert "File exists" in capsys.readouterr().err
+        assert (tmp_path / "afile").read_bytes() == b""
+
 
 class TestExitCodes:
     def test_no_arguments_is_usage(self):

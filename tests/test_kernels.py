@@ -191,10 +191,11 @@ class TestKernelType:
             Kernel(((1, 2),), anchor=(1, 0))
 
     def test_from_rows_center_default_needs_odd(self):
-        k = Kernel.from_rows([[1, 2, 3]])
-        assert k.anchor == (0, 1)
-        with pytest.raises(DomainError):
-            Kernel.from_rows([[1, 2]])
+        assert Kernel.from_rows([[1, 2, 3]]).anchor == (0, 1)
+        for rows in ([], [[1, 2]], [[1, 2, 3], [4, 5, 6]]):
+            with pytest.raises(DomainError) as exc:
+                Kernel.from_rows(rows)
+            assert str(exc.value) == "even-dimensioned kernels need an explicit anchor"
 
     def test_abs_sum(self):
         assert smoothing_template().abs_sum() == 32
@@ -240,8 +241,11 @@ class TestTextFormat:
             parse_kernel("1 2 x\n")
         with pytest.raises(FileFormatError, match="ragged"):
             parse_kernel("1 2\n3\n")
-        with pytest.raises(FileFormatError, match="anchor"):
+        with pytest.raises(FileFormatError) as exc:
             parse_kernel("1 2\n3 4\n")  # even size, no header
+        assert str(exc.value) == (
+            "even-dimensioned kernel requires an explicit 'anchor R C' header"
+        )
         with pytest.raises(FileFormatError, match="no coefficient rows"):
             parse_kernel("\n\n")
         with pytest.raises(FileFormatError, match="first line"):
@@ -282,6 +286,11 @@ class TestTextFormat:
         )
         k = Kernel.from_rows(rows, anchor)
         assert parse_kernel(format_kernel(k)) == k
+
+    def test_format_writes_anchor_only_off_center(self):
+        grid = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+        assert format_kernel(Kernel(grid, (0, 2))) == "anchor 0 2\n1 2 3\n4 5 6\n7 8 9\n"
+        assert format_kernel(Kernel(grid, (1, 1))) == "1 2 3\n4 5 6\n7 8 9\n"
 
     def test_format_parse_canonical_fixed_point(self):
         text = "anchor 0 1\n3 -7\n"

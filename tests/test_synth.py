@@ -607,6 +607,61 @@ class TestFilteredCosine:
             assert 0 < redone[0] < n_samples // 10
 
 
+# scene_spec_to_json of the spec in TestSceneSpecJson.test_writer_layout:
+# top-level keys, then each class and each region (shape, class, then its
+# geometry) in a fixed order, indented by two spaces.
+SPEC_TEXT = """\
+{
+  "width": 9,
+  "height": 7,
+  "dtype": "u8",
+  "seed": 12,
+  "background_class": 2,
+  "classes": [
+    {
+      "name": "water",
+      "means": [
+        10.0,
+        20.5
+      ],
+      "sigmas": [
+        1.0,
+        0.0
+      ]
+    },
+    {
+      "name": "field",
+      "means": [
+        200.0,
+        150.0
+      ],
+      "sigmas": [
+        2.5,
+        3.0
+      ]
+    }
+  ],
+  "regions": [
+    {
+      "shape": "rect",
+      "class": 1,
+      "row": 1,
+      "col": 2,
+      "height": 3,
+      "width": 4
+    },
+    {
+      "shape": "disk",
+      "class": 2,
+      "row": 3,
+      "col": 4,
+      "radius": 2
+    }
+  ]
+}
+"""
+
+
 class TestSceneSpecJson:
     def test_roundtrip(self):
         spec = SceneSpec(
@@ -625,6 +680,24 @@ class TestSceneSpecJson:
             background_class=1,
         )
         assert scene_spec_from_json(scene_spec_to_json(spec)) == spec
+
+    def test_writer_layout(self):
+        spec = SceneSpec(
+            width=9,
+            height=7,
+            dtype="u8",
+            seed=12,
+            signatures=(
+                ClassSignature("water", (10.0, 20.5), (1.0, 0.0)),
+                ClassSignature("field", (200.0, 150.0), (2.5, 3.0)),
+            ),
+            placements=(
+                Placement(1, Rectangle(1, 2, 3, 4)),
+                Placement(2, Disk(3, 4, 2)),
+            ),
+            background_class=2,
+        )
+        assert scene_spec_to_json(spec) == SPEC_TEXT
 
     def test_background_defaults_to_one(self):
         doc = """{"width": 4, "height": 4, "dtype": "u8", "seed": 3,
@@ -682,10 +755,17 @@ class TestSceneSpecJson:
             (None, [3], "each region needs 'shape' and 'class'"),
             (None, [{"class": 1, "row": 0}], "each region needs 'shape' and 'class'"),
             (None, [{"shape": "rect", "row": 0}], "each region needs 'shape' and 'class'"),
+            (None, [{"shape": ["rect"], "class": 1}], r"unknown region shape \['rect'\]"),
+            (None, [{"shape": 3, "class": 1}], "unknown region shape 3"),
+            (None, [{"shape": "disk", "class": 1, "row": 1, "col": 1}],
+             "region is missing integer 'radius'"),
+            (None, [{"shape": "rect", "class": 1, "row": 0, "col": 0, "height": 1}],
+             "region is missing integer 'width'"),
         ],
         ids=["class-not-object", "no-sigmas", "no-name", "means-not-list",
              "sigmas-not-list", "mean-not-number", "sigma-bool", "region-not-object",
-             "region-no-shape", "region-no-class"],
+             "region-no-shape", "region-no-class", "shape-list", "shape-number",
+             "disk-no-radius", "rect-no-width"],
     )
     def test_malformed_class_or_region(self, classes, regions, message):
         doc = {"width": 4, "height": 4, "dtype": "u8", "seed": 0,
