@@ -28,6 +28,7 @@ from .convolve import BoundaryMode, convolve
 from .raster import (
     Band,
     MultibandImage,
+    NUMPY_DTYPES,
     ResponseField,
     StretchMode,
     stretch,
@@ -77,6 +78,7 @@ class _Moments(NamedTuple):
     n: int
     sums: list[int]
     gram: list[list[int]]
+    stds: tuple[float, ...]  # each band's population stddev, computed once
 
     def mean(self, i: int) -> float:
         return self.sums[i] / self.n
@@ -86,7 +88,7 @@ class _Moments(NamedTuple):
         return self.n * self.gram[i][j] - self.sums[i] * self.sums[j]
 
     def stddev(self, i: int) -> float:
-        return math.sqrt(self.scatter(i, i) / self.n**2)
+        return self.stds[i]
 
     def pearson(self, i: int, j: int) -> float | None:
         """Pearson correlation of bands i and j; None when either is constant.
@@ -133,7 +135,9 @@ def _moments(planes: Sequence[np.ndarray]) -> _Moments:
         # Rows 2i and 2i + 1 hold plane i's hi and lo limbs: x = 2^16 hi + lo.
         mix = np.kron(np.eye(len(planes), dtype=object), [[1 << 16, 1]])
         sums, gram = mix @ sums.astype(object), mix @ gram.astype(object) @ mix.T
-    return _Moments(n, sums.tolist(), gram.tolist())
+    moments = _Moments(n, sums.tolist(), gram.tolist(), ())
+    stds = (math.sqrt(moments.scatter(i, i) / n**2) for i in range(len(planes)))
+    return moments._replace(stds=tuple(stds))
 
 
 def band_stats(band: Band) -> BandStats:
@@ -188,7 +192,6 @@ def correlation(image: MultibandImage) -> CorrelationMatrix:
     if n < 2:
         raise DomainError("correlation needs at least 2 bands")
     moments = _moments([b.samples for b in image.bands])
-    stds = tuple(moments.stddev(i) for i in range(n))
     flagged = tuple(i for i in range(n) if moments.scatter(i, i) == 0)
     r = np.full((n, n), np.nan, dtype=np.float64)
     np.fill_diagonal(r, 1.0)
@@ -197,7 +200,7 @@ def correlation(image: MultibandImage) -> CorrelationMatrix:
             v = moments.pearson(i, j)
             if v is not None:
                 r[i, j] = r[j, i] = v
-    return CorrelationMatrix(r, flagged, stds)
+    return CorrelationMatrix(r, flagged, moments.stds)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +468,9 @@ def rois_from_json(text: str, shape: tuple[int, int]) -> list[Roi]:
 def rois_from_labels(labels: np.ndarray, names: list[str] | None = None) -> list[Roi]:
     """Build ROIs from a label raster; labels must be contiguous 1..K."""
     arr = np.asarray(labels)
-    present = sorted(int(v) for v in np.unique(arr) if v > 0)
+    # With return_counts, np.unique skips its np.ma.is_masked call, whose
+    # import of numpy.ma would cost a fresh process about 20 ms.
+    present = [int(v) for v in np.unique(arr, return_counts=True)[0] if v > 0]
     if not present:
         raise DomainError("label raster contains no labeled pixels")
     if present != list(range(1, len(present) + 1)):
@@ -502,9 +507,20 @@ class ClassSpec:
                 raise DomainError(f"class {self.name!r}: need lo <= hi, got {lo}, {hi}")
 
 
+def _label_dtype(top: int) -> type:
+    """The smallest sample dtype that holds labels up to ``top``: its PGM's."""
+    for dtype in NUMPY_DTYPES.values():
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    raise DomainError(f"label {top} does not fit a u16 band")
+
+
 @dataclass(frozen=True)
 class ClassificationMap:
-    """Per-pixel class labels of a non-empty raster; 0 means unclassified."""
+    """Per-pixel class labels of a non-empty raster; 0 means unclassified.
+
+    Held in their PGM's dtype: uint8 up to label 255, else uint16.
+    """
 
     labels: np.ndarray
 
@@ -520,11 +536,9 @@ class ClassificationMap:
             )
         if int(arr.min()) < 0:
             raise DomainError("labels must be non-negative")
-        # Checked before the int32 conversion, which would wrap larger labels.
-        top = np.iinfo(np.int32).max
-        if np.iinfo(arr.dtype).max > top and int(arr.max()) > top:
-            raise DomainError(f"labels must be at most {top}")
-        object.__setattr__(self, "labels", _readonly(arr, np.int32))
+        # Checked before the conversion, which would wrap larger labels.
+        dtype = _label_dtype(int(arr.max()))
+        object.__setattr__(self, "labels", _readonly(arr, dtype))
 
     @property
     def width(self) -> int:
@@ -533,15 +547,6 @@ class ClassificationMap:
     @property
     def height(self) -> int:
         return self.labels.shape[0]
-
-
-def classification_to_band(cmap: ClassificationMap) -> Band:
-    """Store a label map in a Band (u8 when labels fit, else u16)."""
-    top = int(cmap.labels.max())
-    if top > 65535:
-        raise DomainError(f"label {top} does not fit a u16 band")
-    dtype = np.uint8 if top <= 255 else np.uint16
-    return Band(_frozen(cmap.labels.astype(dtype)))
 
 
 def fit_classes(
@@ -599,7 +604,8 @@ def classify(image: MultibandImage, specs: list[ClassSpec]) -> ClassificationMap
     into ``[-1, dtype max + 1]``, which keeps infinite and out-of-range
     bounds exact, and each band is then compared in its own dtype. Classes
     are painted from last to first, so the first listed one is painted
-    over every later one.
+    over every later one. The labels are uint8 for at most 255 classes,
+    else uint16; more than 65535 classes are refused.
     """
     for spec in specs:
         if len(spec.bounds) != image.n_bands:
@@ -607,7 +613,7 @@ def classify(image: MultibandImage, specs: list[ClassSpec]) -> ClassificationMap
                 f"class {spec.name!r} has {len(spec.bounds)} bounds for "
                 f"{image.n_bands} bands"
             )
-    labels = np.zeros((image.height, image.width), dtype=np.int32)
+    labels = np.zeros((image.height, image.width), dtype=_label_dtype(len(specs)))
     for index, spec in reversed(list(enumerate(specs, start=1))):
         inside = np.ones(labels.shape, dtype=bool)
         for band, (lo, hi) in zip(image.bands, spec.bounds):
@@ -855,8 +861,6 @@ def _features(
     """The feature image of ``kind`` from ``image`` and its ``_smoothed`` bands."""
     if kind == FeatureKind.RAW:
         return image
-    names = [image.name_of(i) + " smoothed" for i in range(image.n_bands)]
     if kind == FeatureKind.SMOOTHED:
-        return MultibandImage(tuple(smoothed), tuple(names))
-    raw_names = [image.name_of(i) for i in range(image.n_bands)]
-    return MultibandImage(tuple(image.bands) + tuple(smoothed), tuple(raw_names + names))
+        return MultibandImage(tuple(smoothed))
+    return MultibandImage(tuple(image.bands) + tuple(smoothed))

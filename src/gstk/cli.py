@@ -302,11 +302,7 @@ def _stage_labels(
     stage: _Stage, path: str, cmap: Callable[[], analysis.ClassificationMap]
 ) -> None:
     """Stage a label map as PGM, taken from ``cmap()`` when the stage commits."""
-    from . import analysis
-
-    stage.add_writer(
-        path, write=lambda f: f.write(write_pgm(analysis.classification_to_band(cmap())))
-    )
+    stage.add_writer(path, write=lambda f: f.write(write_pgm(Band(cmap().labels))))
 
 
 def _write_stack_header(f: BinaryIO, shape: tuple[int, int, int]) -> None:

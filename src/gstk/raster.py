@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, FileFormatError
 
 NUMPY_DTYPES = {"u8": np.uint8, "u16": np.uint16}
-DTYPE_MAX = {"u8": 255, "u16": 65535}
+DTYPE_MAX = {name: int(np.iinfo(t).max) for name, t in NUMPY_DTYPES.items()}
 
 
 def _readonly(arr: np.ndarray, dtype: type | None = None) -> np.ndarray:
@@ -85,7 +85,6 @@ class MultibandImage:
     """An ordered stack of equally shaped, equally typed bands."""
 
     bands: tuple[Band, ...]
-    band_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         bands = tuple(self.bands)
@@ -96,11 +95,6 @@ class MultibandImage:
         for b in bands[1:]:
             if (b.width, b.height, b.dtype) != (first.width, first.height, first.dtype):
                 raise DomainError("all bands must share width, height and dtype")
-        if self.band_names is not None:
-            names = tuple(str(n) for n in self.band_names)
-            if len(names) != len(bands):
-                raise DomainError("band_names length must match band count")
-            object.__setattr__(self, "band_names", names)
 
     @property
     def n_bands(self) -> int:
@@ -120,8 +114,6 @@ class MultibandImage:
 
     def name_of(self, index: int) -> str:
         """Display name of a band by 0-based index (numbered from 1)."""
-        if self.band_names is not None:
-            return self.band_names[index]
         return f"band {index + 1}"
 
 
@@ -232,7 +224,7 @@ def write_pgm(band: Band) -> bytes:
 
 _BSQ_MAGIC = "GSTK1"
 _BSQ_KEYS = ("magic", "width", "height", "bands", "dtype", "byteorder")
-_BSQ_DTYPES = {"u8": np.dtype(np.uint8), "u16": np.dtype("<u2")}
+_BSQ_DTYPES = {name: np.dtype(t).newbyteorder("<") for name, t in NUMPY_DTYPES.items()}
 
 
 def read_bsq(header_text: str, payload: bytes) -> MultibandImage:

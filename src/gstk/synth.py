@@ -36,14 +36,14 @@ import numpy as np
 
 from .errors import DomainError, FileFormatError
 from .raster import Band, DTYPE_MAX, MultibandImage, NUMPY_DTYPES, _frozen
-from .analysis import ClassificationMap
+from .analysis import ClassificationMap, _label_dtype
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Largest width*height*bands a scene spec may ask for, checked before
 # anything is allocated: nearly 19x a 1536x1536x6 scene, and at most
-# 1 GiB of int32 labels.
+# 512 MiB of u16 labels.
 MAX_SCENE_SAMPLES = 2**28
 
 # Pixels per chunk of a rendered band. Rendering alone, the perfbench
@@ -403,8 +403,10 @@ def paint_labels(spec: SceneSpec) -> ClassificationMap:
     """Class label of every pixel: background, then regions in spec order.
 
     ``SceneSpec`` has checked that every region lies inside the scene.
+    The labels take the dtype of the largest label the spec paints.
     """
-    labels = np.full((spec.height, spec.width), spec.background_class, dtype=np.int32)
+    top = max([spec.background_class] + [p.class_index for p in spec.placements])
+    labels = np.full((spec.height, spec.width), spec.background_class, _label_dtype(top))
     for placement in spec.placements:
         box, inside = placement.region._window()
         labels[box][inside] = placement.class_index

@@ -31,7 +31,6 @@ from gstk import (
 from gstk.analysis import (
     FitMode,
     Roi,
-    classification_to_band,
     fit_classes,
     oif_report_dict,
     rois_from_labels,
@@ -58,7 +57,7 @@ def _write_scene(tmp_path, spec):
     header, payload = write_bsq(image)
     (tmp_path / "scene.hdr").write_text(header)
     (tmp_path / "scene.bsq").write_bytes(payload)
-    (tmp_path / "truth.pgm").write_bytes(write_pgm(classification_to_band(truth)))
+    (tmp_path / "truth.pgm").write_bytes(write_pgm(Band(truth.labels)))
     (tmp_path / "spec.json").write_text(scene_spec_to_json(spec))
     return image, truth
 
@@ -1303,6 +1302,32 @@ class TestExitCodes:
         assert proc.stdout.splitlines() == [
             "[]", "convolved 1 band(s) with smooth5 (replicate)", "[]", "[] True True"
         ]
+
+    def test_pipeline_and_classify_leave_numpy_ma_unloaded(self, tmp_path):
+        # np.unique without return_counts imports numpy.ma (numpy 2.4).
+        (tmp_path / "spec.json").write_text(scene_spec_to_json(separable_scene_spec()))
+        src = os.path.dirname(os.path.dirname(gstk.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        code = (
+            "import os, sys, gstk.cli\n"
+            "d = sys.argv[1]\n"
+            "run = os.path.join(d, 'run')\n"
+            "gstk.cli.main(['pipeline', '--spec', os.path.join(d, 'spec.json'),\n"
+            "               '--out-dir', run])\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "gstk.cli.main(['classify', '--in', os.path.join(run, 'scene.hdr'),\n"
+            "               '--rois', os.path.join(run, 'truth.pgm'),\n"
+            "               '--out-map', os.path.join(d, 'map.pgm')])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[2:] == ["False", "classified 6400 pixels into 3 classes", "False"]
 
     def test_parser_choices_are_the_enum_values(self):
         assert gstk.cli._FIT_MODES == tuple(m.value for m in FitMode)

@@ -328,9 +328,25 @@ class TestSynthScene:
         img, truth = synth_scene(spec)
         assert (img.bands[0].samples == 100).all()
         assert (truth.labels == 1).all()
+
         # and the smoothing template annihilates the constant scene
         out = convolve(img.bands[0], smoothing_template(), BoundaryMode.REPLICATE)
         assert not out.samples.any()
+
+    def test_labels_in_the_dtype_of_the_largest_painted_label(self, monkeypatch):
+        signatures = tuple(ClassSignature(f"c{k}", (1.0,), (0.0,)) for k in range(300))
+        assert synth.paint_labels(_one_class_spec(signatures=signatures)).labels.dtype == np.uint8
+        corner = Placement(300, Rectangle(0, 0, 1, 1))
+        spec = _one_class_spec(signatures=signatures, placements=(corner,))
+        labels = synth.paint_labels(spec).labels
+        assert labels.dtype == np.uint16
+        assert labels[0, 0] == 300 and labels[0, 1] == 1
+        # A label no PGM band holds is refused before any band is rendered.
+        signatures = tuple(ClassSignature(f"c{k}", (1.0,), (0.0,)) for k in range(65536))
+        spec = _one_class_spec(signatures=signatures, background_class=65536)
+        monkeypatch.setattr(synth, "_band_renderer", None)
+        with pytest.raises(DomainError, match="^label 65536 does not fit a u16 band$"):
+            synth_scene(spec)
 
     def test_zero_noise_truth_geometry(self):
         spec = SceneSpec(
@@ -433,7 +449,7 @@ class TestSynthScene:
     def test_peak_memory_below_one_float64_frame_over_result(self):
         # Rendering keeps no full-frame temporaries: tracemalloc's peak (it
         # counts numpy buffers) stays below the memory the result keeps plus
-        # one 8 MiB float64 frame of this 1024x1024 scene.
+        # one float64 frame, 8 bytes per pixel.
         spec = SceneSpec(
             width=1024,
             height=1024,
@@ -451,8 +467,9 @@ class TestSynthScene:
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert retained >= 6 * 2**20  # int32 labels plus two u8 bands
-        assert peak < retained + 8 * 2**20
+        pixels = 1024 * 1024
+        assert retained >= 3 * pixels  # u8 labels plus two u8 bands
+        assert peak < retained + 8 * pixels
 
     def test_region_means_near_signature(self):
         spec = separable_scene_spec()
